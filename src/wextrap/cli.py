@@ -1,4 +1,4 @@
-"""Command-line driver: validate experiment configs, run them, emit artifacts.
+"""Command-line driver: parse experiment configs, run them, emit artifacts.
 
 Usage:
   wextrap run CONFIG.json [--output-dir DIR]
@@ -8,9 +8,7 @@ Usage:
 
 Exit codes: 0 success, 2 config error, 3 compute error, 4 inconclusive.
 Runs are deterministic given (config, seed); every numeric threshold used
-during a run is echoed into the output provenance block.  The environment
-variable WEXTRAP_THREADS caps worker parallelism (computations are
-reduction-order independent, so results do not depend on it).
+during a run is echoed into the output provenance block.
 """
 
 from __future__ import annotations
@@ -28,16 +26,16 @@ import numpy as np
 from . import __version__
 from .characterization import (limited_range_criterion, offdiag_criterion,
                                verify_equivalence)
-from .compactness import boundedness_sweep, compactness_contrast
+from .compactness import (DEFAULT_BASIS_SIZE, DEFAULT_CONTRAST_FACTOR,
+                          boundedness_sweep, compactness_contrast)
 from .grids import DIVERGENCE_RATIO, CubeFamily, Grid
-from .interpolation import (DiagonalComponentwiseCase, DiagonalVectorCase,
-                            OffdiagonalComponentwiseCase, OffdiagonalVectorCase,
-                            solve_theta)
+from .interpolation import (DiagonalCase, OffdiagonalCase,
+                            product_bound_check, solve_theta)
 from .operators import (FourierMultiplierOperator, FractionalIntegralOperator,
                         KernelSpec, RankOneOperator, SymbolSpec,
                         TruncatedKernelOperator, ZeroOperator, log_symbol,
                         smooth_bump, symbol_sobolev_norm)
-from .presets import list_presets, preset_config
+from .presets import PRESETS, list_presets, preset_config
 from .serialization import canonical_json, write_csv
 from .weights import (ConstantWeight, Exponents, LogBlowupWeight, PowerWeight,
                       PowerOfWeight, ProductWeight, Verdict, WeightSpec,
@@ -51,20 +49,14 @@ EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 EXIT_INCONCLUSIVE = 4
 
-EXPERIMENTS = ("weight-constant", "characterize", "solve-theta",
-               "product-bound", "boundedness-sweep", "compactness-contrast",
-               "symbol-norm")
-
 
 class ConfigError(ValueError):
-    pass
+    """A malformed config; the arguments are the problems found."""
 
 
 # ---------------------------------------------------------------- parsing
 
 def parse_weight(d: dict) -> WeightSpec:
-    if not isinstance(d, dict) or "type" not in d:
-        raise ConfigError(f"weight descriptor must be a dict with 'type': {d!r}")
     t = d["type"]
     if t == "constant":
         return ConstantWeight(float(d.get("value", 1.0)))
@@ -95,13 +87,10 @@ def parse_pointwise(d: dict) -> Callable:
 
 
 def parse_family(d: dict) -> CubeFamily:
-    try:
-        return CubeFamily(int(d["dim"]), float(d["half_width"]),
-                          int(d["min_level"]), int(d["max_level"]),
-                          tuple(float(s) for s in d.get("shifts", [0.0])),
-                          tuple(float(v) for v in d.get("origin", [])))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad family: {exc}") from exc
+    return CubeFamily(int(d["dim"]), float(d["half_width"]),
+                      int(d["min_level"]), int(d["max_level"]),
+                      tuple(float(s) for s in d.get("shifts", [0.0])),
+                      tuple(float(v) for v in d.get("origin", [])))
 
 
 def _radial_cutoff(lo: float, hi: float) -> Callable:
@@ -177,268 +166,331 @@ def parse_operator(d: dict):
 
 def parse_case(d: dict):
     tag = d.get("tag")
-    if tag == "diagonal_vector":
-        return DiagonalVectorCase(tuple(as_fraction(v) for v in d["s"]))
-    if tag == "diagonal_componentwise":
-        return DiagonalComponentwiseCase(tuple(as_fraction(v) for v in d["s"]))
-    if tag == "offdiagonal_vector":
-        return OffdiagonalVectorCase(as_fraction(d["alpha"]))
-    if tag == "offdiagonal_componentwise":
-        return OffdiagonalComponentwiseCase(as_fraction(d["alpha"]))
+    if tag in ("diagonal_vector", "diagonal_componentwise"):
+        return DiagonalCase(tuple(d["s"]), tag == "diagonal_componentwise")
+    if tag in ("offdiagonal_vector", "offdiagonal_componentwise"):
+        return OffdiagonalCase(as_fraction(d["alpha"]),
+                               tag == "offdiagonal_componentwise")
     raise ConfigError(f"unknown case tag {tag!r}")
 
 
-# ------------------------------------------------------------- validation
-
-def _require(cfg: dict, keys: list[str], errors: list[str]) -> None:
-    for k in keys:
-        if k not in cfg:
-            errors.append(f"missing required key {k!r}")
+def _integer(value) -> int:
+    if not isinstance(value, int):
+        raise ConfigError("must be an integer")
+    return value
 
 
-def validate_config(cfg: dict) -> list[str]:
-    """Full validation; returns a list of human-readable problems."""
-    errors: list[str] = []
+def _resolution(value) -> int:
+    if int(value) < 2:
+        raise ConfigError("must be at least 2")
+    return int(value)
+
+
+def _fractions(values) -> tuple[Fraction, ...]:
+    return tuple(as_fraction(v) for v in values)
+
+
+def _weights(descriptors) -> tuple[WeightSpec, ...]:
+    return tuple(parse_weight(d) for d in descriptors)
+
+
+def _basis_sizes(values) -> tuple[int, int]:
+    n1, n2 = (int(v) for v in values)
+    if n1 < 1 or n2 < 1:
+        raise ConfigError("basis sizes must be positive")
+    return n1, n2
+
+
+def _read(node: dict, key: str, parse: Callable, *default):
+    """parse(node[key]); the default, as it is, if one is given and the key
+    is absent.  Whatever a malformed value raises becomes a ConfigError
+    that names the key."""
+    try:
+        if default and key not in node:
+            return default[0]
+        return parse(node[key])
+    except ConfigError as exc:
+        raise ConfigError(*(f"bad {key}: {p}" for p in exc.args)) from exc
+    except (LookupError, TypeError, ValueError, AttributeError,
+            ArithmeticError) as exc:
+        missing = isinstance(exc, KeyError)
+        reason = f"missing required key {exc}" if missing else exc
+        raise ConfigError(f"bad {key}: {reason}") from exc
+
+
+# Optional settings: key -> (parser, default).  Every default of the command
+# line is written here and nowhere else.  The library functions default to
+# grids.DEFAULT_RESOLUTION = 128; runs from configs use 64.
+_SETTINGS = {
+    "seed": (_integer, 0),
+    "resolution": (_resolution, 64),
+    "growth_levels": (int, 2),
+    "threshold": (float, 0.01),
+    "membership": (bool, False),
+    "c_rhi": (float, 2.0),
+    "schedule_depth": (int, 20),
+    "stability_threshold": (float, 0.01),
+    "identity_samples": (int, 1000),
+    "half_width": (float, 4.0),
+    "n_basis": (_basis_sizes, (DEFAULT_BASIS_SIZE, DEFAULT_BASIS_SIZE)),
+    "contrast_factor": (float, DEFAULT_CONTRAST_FACTOR),
+    "csv": (bool, False),
+    "j_min": (int, -8),
+    "j_max": (int, 8),
+    "freq_halfwidth": (float, 4.0),
+    "freq_resolution": (int, 128),
+    "stability_extension": (int, 0),
+}
+
+
+def _settings(cfg: dict, *keys: str) -> dict:
+    return {key: _read(cfg, key, *_SETTINGS[key]) for key in keys}
+
+
+def _require(cfg: dict, *keys: str) -> None:
+    missing = [k for k in keys if k not in cfg]
+    if missing:
+        raise ConfigError(*(f"missing required key {k!r}" for k in missing))
+
+
+# ------------------------------------------------ one parse per experiment
+#
+# Each parser returns the keyword arguments of its experiment's compute step.
+
+def _parse_class(cfg: dict, kind, cls: dict) -> dict:
+    """A class constant: its kind, the arguments it takes before the cube
+    family (the weight or weights from `cfg`, the exponents from `cls`), the
+    family and the quadrature settings."""
+    if kind == "bmo":
+        args = (_read(cfg, "weight", parse_pointwise),)
+    elif kind == "ap":
+        args = (_read(cfg, "weight", parse_weight), _read(cls, "p", as_fraction))
+    elif kind == "apq":
+        args = (_read(cfg, "weight", parse_weight), _read(cls, "p", as_fraction),
+                _read(cls, "q", as_fraction))
+    elif kind in ("multilinear", "multilinear_limited", "multilinear_offdiag"):
+        args = (_read(cfg, "weights", _weights), _read(cls, "p", Exponents))
+        if kind == "multilinear_limited":
+            args += (_read(cls, "s", Exponents),)
+        elif kind == "multilinear_offdiag":
+            args += (_read(cls, "p_star", as_fraction),)
+    else:
+        raise ConfigError(f"unknown class kind {kind!r}")
+    return {"kind": kind, "args": args,
+            "family": _read(cfg, "family", parse_family),
+            **_settings(cfg, "resolution", "growth_levels", "threshold")}
+
+
+def _parse_weight_constant(cfg: dict) -> dict:
+    _require(cfg, "class", "family")
+    kind = _read(cfg, "class", lambda cls: cls.get("kind"))
+    return {**_parse_class(cfg, kind, cfg["class"]),
+            "with_membership": _read(cfg, "membership", *_SETTINGS["membership"])}
+
+
+def _parse_characterize(cfg: dict) -> dict:
+    _require(cfg, "theorem", "weights", "p", "family")
+    if cfg["theorem"] == "limited_range":
+        return _parse_class(cfg, "multilinear_limited", cfg)
+    if cfg["theorem"] == "offdiag":
+        return _parse_class(cfg, "multilinear_offdiag", cfg)
+    raise ConfigError("theorem must be 'limited_range' or 'offdiag'")
+
+
+def _parse_solve(cfg: dict) -> dict:
+    """Keyword arguments of `solve_theta`, plus the experiment, the schedule
+    depth and the family the product bounds are measured on again."""
+    _require(cfg, "case", "q", "r", "v", "w", "family")
+    q, r = _read(cfg, "q", _fractions), _read(cfg, "r", _fractions)
+    v, w = _read(cfg, "v", _weights), _read(cfg, "w", _weights)
+    if not len(q) == len(r) == len(v) == len(w):
+        raise ConfigError("q, r, v, w must have equal lengths")
+    family = _read(cfg, "family", parse_family)
+    return {"experiment": cfg["experiment"], "case": _read(cfg, "case", parse_case),
+            "qvec": q, "rvec": r, "vvec": v, "wvec": w, "family": family,
+            "bound_family": _read(cfg, "bound_family", parse_family, family),
+            **_settings(cfg, "schedule_depth", "c_rhi", "resolution",
+                        "growth_levels", "stability_threshold",
+                        "identity_samples", "seed")}
+
+
+def _sweep_row(row: dict) -> dict:
+    return {"label": row.get("label", ""),
+            "params": {k: row[k] for k in row if k.startswith("param")},
+            **{k: _read(row, k, parse_weight, None)
+               for k in ("w1", "w2", "w_out")}}
+
+
+def _sweep_exponents(values) -> tuple[Exponents, tuple[float, float, float]]:
+    """[q1, q2, q] as the class exponents (q1, q2) and three norm exponents."""
+    q1, q2, q = _fractions(values)
+    return Exponents((q1, q2)), (float(q1), float(q2), float(q))
+
+
+def _parse_sweep(cfg: dict) -> dict:
+    _require(cfg, "operator", "exponents", "weights", "grid")
+    grid = _read(cfg, "grid", lambda g: Grid(1, int(g["n"]),
+                                             float(g["half_width"])))
+    qvec, exponents = _read(cfg, "exponents", _sweep_exponents)
+    return {"operator": _read(cfg, "operator", parse_operator), "grid": grid,
+            "qvec": qvec, "exponents": exponents,
+            "rows": _read(cfg, "weights", lambda rows: [_sweep_row(r)
+                                                        for r in rows]),
+            "family": _read(cfg, "weight_family", parse_family,
+                            CubeFamily(1, grid.half_width, 0, 6)),
+            **_settings(cfg, "resolution")}
+
+
+def _parse_contrast(cfg: dict) -> dict:
+    """Keyword arguments of `compactness_contrast`, plus the csv flag."""
+    _require(cfg, "operator", "index", "b_cmo", "b_bmo", "refinements",
+             "k_probe")
+    parsed = _settings(cfg, "half_width", "n_basis", "contrast_factor", "csv")
+    n1, n2 = parsed["n_basis"]
+    index = _read(cfg, "index", tuple)
+    if index not in ((1, 0), (0, 1), (1, 1)):
+        raise ConfigError("index must be one of [1,0], [0,1], [1,1]")
+    refs = _read(cfg, "refinements", lambda values: [int(n) for n in values])
+    if not refs or sorted(refs) != refs:
+        raise ConfigError("refinements must be a nonempty increasing list")
+    if any(n < 2 or n & (n - 1) or n % n1 or n % n2 for n in refs):
+        raise ConfigError("refinements must be powers of two divisible by "
+                          f"both n_basis sizes {n1} and {n2}")
+    # At refinement N the discretized map has min(N, n1 n2) singular values.
+    rank = min(refs[0], n1 * n2)
+    k_probe = _read(cfg, "k_probe", _integer)
+    if not 1 <= k_probe <= rank:
+        raise ConfigError(f"k_probe must lie in [1, {rank}], the rank at the "
+                          "coarsest refinement")
+    return {"base_op": _read(cfg, "operator", parse_operator),
+            "b_cmo": _read(cfg, "b_cmo", parse_pointwise),
+            "b_bmo": _read(cfg, "b_bmo", parse_pointwise),
+            "index": index, "refinements": refs, "k_probe": k_probe, **parsed}
+
+
+def _parse_symbol_norm(cfg: dict) -> dict:
+    symbol = _read(cfg, "symbol", parse_symbol)
+    norm = {"s": _read(cfg, "s", float, None),
+            "s_vec": _read(cfg, "s_vec", lambda v: tuple(map(float, v)), None)}
+    if (norm["s"] is None) == (norm["s_vec"] is None):
+        raise ConfigError("exactly one of s, s_vec is required")
+    if norm["s_vec"] is not None and len(norm["s_vec"]) != 2:
+        raise ConfigError("s_vec must have two entries")
+    return {"symbol": symbol, **norm,
+            **_settings(cfg, "j_min", "j_max", "freq_halfwidth",
+                        "freq_resolution", "stability_extension")}
+
+
+_PARSERS = {
+    "weight-constant": _parse_weight_constant,
+    "characterize": _parse_characterize,
+    "solve-theta": _parse_solve,
+    "product-bound": _parse_solve,
+    "boundedness-sweep": _parse_sweep,
+    "compactness-contrast": _parse_contrast,
+    "symbol-norm": _parse_symbol_norm,
+}
+
+EXPERIMENTS = tuple(_PARSERS)
+
+
+def parse_config(cfg) -> tuple[str, dict]:
+    """The one parse of a config: (experiment, keyword arguments of its
+    compute step).  Raises ConfigError for every malformed input."""
     if not isinstance(cfg, dict):
-        return ["config must be a JSON object"]
-    exp = cfg.get("experiment")
-    if exp not in EXPERIMENTS:
-        return [f"experiment must be one of {EXPERIMENTS}, got {exp!r}"]
-    if not isinstance(cfg.get("seed", 0), int):
-        errors.append("seed must be an integer")
-
-    def try_parse(fn, value, what):
-        try:
-            fn(value)
-        except (ConfigError, ValueError, KeyError, TypeError) as exc:
-            errors.append(f"bad {what}: {exc}")
-
-    if exp == "weight-constant":
-        _require(cfg, ["class", "family"], errors)
-        if errors:
-            return errors
-        try_parse(parse_family, cfg["family"], "family")
-        kind = cfg["class"].get("kind")
-        if kind not in ("ap", "apq", "multilinear", "multilinear_limited",
-                        "multilinear_offdiag", "bmo"):
-            errors.append(f"unknown class kind {kind!r}")
-        elif kind in ("ap", "apq", "bmo"):
-            _require(cfg, ["weight"], errors)
-            if "weight" in cfg:
-                try_parse(parse_pointwise, cfg["weight"], "weight")
-            if kind == "ap":
-                _require(cfg["class"], ["p"], errors)
-            if kind == "apq":
-                _require(cfg["class"], ["p", "q"], errors)
-        else:
-            _require(cfg["class"], ["p"], errors)
-            if "weights" not in cfg:
-                errors.append("multilinear classes need a 'weights' list")
-            else:
-                for w in cfg["weights"]:
-                    try_parse(parse_weight, w, "weight")
-            if kind == "multilinear_limited":
-                _require(cfg["class"], ["s"], errors)
-            if kind == "multilinear_offdiag":
-                _require(cfg["class"], ["p_star"], errors)
-    elif exp == "characterize":
-        _require(cfg, ["theorem", "weights", "p", "family"], errors)
-        if errors:
-            return errors
-        if cfg["theorem"] not in ("limited_range", "offdiag"):
-            errors.append("theorem must be 'limited_range' or 'offdiag'")
-        if cfg["theorem"] == "limited_range" and "s" not in cfg:
-            errors.append("limited_range characterization needs 's'")
-        if cfg["theorem"] == "offdiag" and "p_star" not in cfg:
-            errors.append("offdiag characterization needs 'p_star'")
-        for w in cfg["weights"]:
-            try_parse(parse_weight, w, "weight")
-        try_parse(parse_family, cfg["family"], "family")
-        try_parse(lambda p: Exponents(tuple(as_fraction(v) for v in p)),
-                  cfg["p"], "exponents")
-    elif exp in ("solve-theta", "product-bound"):
-        _require(cfg, ["case", "q", "r", "v", "w", "family"], errors)
-        if errors:
-            return errors
-        try_parse(parse_case, cfg["case"], "case")
-        for key in ("v", "w"):
-            for w in cfg[key]:
-                try_parse(parse_weight, w, f"{key} weight")
-        try_parse(parse_family, cfg["family"], "family")
-        if "bound_family" in cfg:
-            try_parse(parse_family, cfg["bound_family"], "bound_family")
-        if len(cfg["q"]) != len(cfg["r"]) or len(cfg["v"]) != len(cfg["w"]) \
-                or len(cfg["q"]) != len(cfg["v"]):
-            errors.append("q, r, v, w must have equal lengths")
-        for key in ("q", "r"):
-            for v in cfg[key]:
-                try_parse(as_fraction, v, f"{key} exponent")
-    elif exp == "boundedness-sweep":
-        _require(cfg, ["operator", "exponents", "weights", "grid"], errors)
-        if errors:
-            return errors
-        try_parse(parse_operator, cfg["operator"], "operator")
-        if len(cfg["exponents"]) != 3:
-            errors.append("exponents must be [q1, q2, q]")
-        for row in cfg["weights"]:
-            for key in ("w1", "w2", "w_out"):
-                if key in row:
-                    try_parse(parse_weight, row[key], f"sweep {key}")
-        gd = cfg["grid"]
-        if "n" not in gd or "half_width" not in gd:
-            errors.append("grid needs n and half_width")
-    elif exp == "compactness-contrast":
-        _require(cfg, ["operator", "index", "b_cmo", "b_bmo", "refinements",
-                       "k_probe"], errors)
-        if errors:
-            return errors
-        try_parse(parse_operator, cfg["operator"], "operator")
-        try_parse(parse_pointwise, cfg["b_cmo"], "b_cmo")
-        try_parse(parse_pointwise, cfg["b_bmo"], "b_bmo")
-        if tuple(cfg["index"]) not in ((1, 0), (0, 1), (1, 1)):
-            errors.append("index must be one of [1,0], [0,1], [1,1]")
-        refs = cfg["refinements"]
-        if not refs or sorted(refs) != list(refs):
-            errors.append("refinements must be a nonempty increasing list")
-        if not isinstance(cfg["k_probe"], int) or cfg["k_probe"] < 1:
-            errors.append("k_probe must be a positive integer")
-    elif exp == "symbol-norm":
-        _require(cfg, ["symbol"], errors)
-        if errors:
-            return errors
-        try_parse(parse_symbol, cfg["symbol"], "symbol")
-        if ("s" in cfg) == ("s_vec" in cfg):
-            errors.append("exactly one of s, s_vec is required")
-    return errors
+        raise ConfigError("config must be a JSON object")
+    experiment = cfg.get("experiment")
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"experiment must be one of {EXPERIMENTS}, "
+                          f"got {experiment!r}")
+    _settings(cfg, "seed")  # every run echoes it; solves also sample with it
+    return experiment, _PARSERS[experiment](cfg)
 
 
-# ------------------------------------------------------------------ runs
+def validate_config(cfg) -> list[str]:
+    """The problems `parse_config` finds; empty when the config parses."""
+    try:
+        parse_config(cfg)
+    except ConfigError as exc:
+        return list(exc.args)
+    return []
 
-def _provenance(cfg: dict) -> dict:
-    # the worker-thread cap is deliberately not echoed: it cannot affect
-    # any computed value, and provenance must be environment independent
-    return {
+
+# ------------------------------------------------------------ compute steps
+
+def _provenance(cfg: dict, **applied) -> dict:
+    prov = {
         "config": copy.deepcopy(cfg),
         "package_version": __version__,
         "divergence_ratio": DIVERGENCE_RATIO,
     }
+    if applied:
+        prov["applied"] = applied
+    return prov
 
 
-def _run_weight_constant(cfg: dict) -> tuple[int, dict, Optional[list]]:
-    fam = parse_family(cfg["family"])
-    res = int(cfg.get("resolution", 64))
-    kind = cfg["class"]["kind"]
-    if kind == "bmo":
-        fn = lambda f: bmo_norm(parse_pointwise(cfg["weight"]), f, res)
-    elif kind == "ap":
-        w = parse_weight(cfg["weight"])
-        fn = lambda f: muckenhoupt_constant(w, as_fraction(cfg["class"]["p"]), f, res)
-    elif kind == "apq":
-        w = parse_weight(cfg["weight"])
-        fn = lambda f: muckenhoupt_pq_constant(
-            w, as_fraction(cfg["class"]["p"]), as_fraction(cfg["class"]["q"]), f, res)
-    else:
-        wvec = tuple(parse_weight(d) for d in cfg["weights"])
-        pvec = Exponents(tuple(as_fraction(v) for v in cfg["class"]["p"]))
-        if kind == "multilinear":
-            fn = lambda f: multilinear_constant(wvec, pvec, f, res)
-        elif kind == "multilinear_limited":
-            svec = Exponents(tuple(as_fraction(v) for v in cfg["class"]["s"]))
-            fn = lambda f: multilinear_limited_range_constant(wvec, pvec, svec, f, res)
-        else:
-            fn = lambda f: multilinear_offdiag_constant(
-                wvec, pvec, as_fraction(cfg["class"]["p_star"]), f, res)
-    constant = fn(fam)
-    prov = _provenance(cfg)
-    prov["applied"] = {"resolution": res,
-                       "growth_levels": int(cfg.get("growth_levels", 2)),
-                       "threshold": float(cfg.get("threshold", 0.01)),
-                       "membership": bool(cfg.get("membership", False))}
+def _class_constant(kind: str, args: tuple, resolution: int) -> Callable:
+    """The map family -> ClassConstant of a parsed class."""
+    constant = {"ap": muckenhoupt_constant, "apq": muckenhoupt_pq_constant,
+                "bmo": bmo_norm, "multilinear": multilinear_constant,
+                "multilinear_limited": multilinear_limited_range_constant,
+                "multilinear_offdiag": multilinear_offdiag_constant}[kind]
+    return lambda family: constant(*args, family, resolution)
+
+
+def _run_weight_constant(cfg: dict, kind, args, family, with_membership,
+                         resolution, growth_levels, threshold):
+    fn = _class_constant(kind, args, resolution)
+    constant = fn(family)
+    prov = _provenance(cfg, resolution=resolution, growth_levels=growth_levels,
+                       threshold=threshold, membership=with_membership)
     out = {"experiment": "weight-constant", "value": constant.value,
            "tag": constant.tag, "family": constant.family,
            "provenance": prov}
-    if cfg.get("membership", False):
-        rep = membership(fn, fam, int(cfg.get("growth_levels", 2)),
-                         float(cfg.get("threshold", 0.01)))
-        out["membership"] = rep.descriptor()
-        code = EXIT_OK if rep.verdict is not Verdict.INCONCLUSIVE else EXIT_INCONCLUSIVE
-        return code, out, None
-    return EXIT_OK, out, None
+    if not with_membership:
+        return EXIT_OK, out, None
+    rep = membership(fn, family, growth_levels, threshold)
+    out["membership"] = rep.descriptor()
+    inconclusive = rep.verdict is Verdict.INCONCLUSIVE
+    return (EXIT_INCONCLUSIVE if inconclusive else EXIT_OK), out, None
 
 
-def _run_characterize(cfg: dict) -> tuple[int, dict, Optional[list]]:
-    fam = parse_family(cfg["family"])
-    res = int(cfg.get("resolution", 64))
-    growth = int(cfg.get("growth_levels", 2))
-    threshold = float(cfg.get("threshold", 0.01))
-    wvec = tuple(parse_weight(d) for d in cfg["weights"])
-    pvec = Exponents(tuple(as_fraction(v) for v in cfg["p"]))
-    if cfg["theorem"] == "limited_range":
-        svec = Exponents(tuple(as_fraction(v) for v in cfg["s"]))
-        criterion = limited_range_criterion(pvec, svec)
-        direct = lambda f: multilinear_limited_range_constant(wvec, pvec, svec, f, res)
-    else:
-        p_star = as_fraction(cfg["p_star"])
-        criterion = offdiag_criterion(pvec, p_star)
-        direct = lambda f: multilinear_offdiag_constant(wvec, pvec, p_star, f, res)
-    report = verify_equivalence(wvec, criterion, direct, fam, pvec, res,
-                                growth, threshold)
-    prov = _provenance(cfg)
-    prov["applied"] = {"resolution": res, "growth_levels": growth,
-                       "threshold": threshold}
+def _run_characterize(cfg: dict, kind, args, family, resolution,
+                      growth_levels, threshold):
+    wvec, pvec, extra = args
+    criterion = (limited_range_criterion if kind == "multilinear_limited"
+                 else offdiag_criterion)(pvec, extra)
+    report = verify_equivalence(wvec, criterion,
+                                _class_constant(kind, args, resolution),
+                                family, pvec, resolution, growth_levels,
+                                threshold)
+    prov = _provenance(cfg, resolution=resolution, growth_levels=growth_levels,
+                       threshold=threshold)
     out = {"experiment": "characterize", "criterion": criterion.descriptor(),
            "report": report.descriptor(), "provenance": prov}
     code = EXIT_OK if report.conclusive else EXIT_INCONCLUSIVE
     return code, out, None
 
 
-def _solve_from_config(cfg: dict):
-    depth = int(cfg.get("schedule_depth", 20))
-    schedule = tuple(Fraction(1, 2 ** k) for k in range(1, depth + 1))
-    return solve_theta(
-        parse_case(cfg["case"]),
-        tuple(as_fraction(v) for v in cfg["q"]),
-        tuple(as_fraction(v) for v in cfg["r"]),
-        tuple(parse_weight(d) for d in cfg["v"]),
-        tuple(parse_weight(d) for d in cfg["w"]),
-        parse_family(cfg["family"]),
-        c_rhi=float(cfg.get("c_rhi", 2.0)),
-        theta_schedule=schedule,
-        resolution=int(cfg.get("resolution", 64)),
-        growth_levels=int(cfg.get("growth_levels", 2)),
-        stability_threshold=float(cfg.get("stability_threshold", 0.01)),
-        identity_samples=int(cfg.get("identity_samples", 1000)),
-        seed=int(cfg.get("seed", 0)),
-    )
-
-
-def _run_solve_theta(cfg: dict) -> tuple[int, dict, Optional[list]]:
-    outcome = _solve_from_config(cfg)
-    out = {"experiment": cfg["experiment"], **outcome.to_json_dict(),
-           "provenance_run": _provenance(cfg)}
-    return (EXIT_OK if outcome.success else EXIT_INCONCLUSIVE), out, None
-
-
-def _run_product_bound(cfg: dict) -> tuple[int, dict, Optional[list]]:
-    from .interpolation import product_bound_check
-
-    outcome = _solve_from_config(cfg)
-    out = {"experiment": cfg["experiment"], **outcome.to_json_dict(),
+def _run_solve(cfg: dict, experiment, schedule_depth, bound_family, **solve):
+    schedule = tuple(Fraction(1, 2 ** k) for k in range(1, schedule_depth + 1))
+    outcome = solve_theta(theta_schedule=schedule, **solve)
+    out = {"experiment": experiment, **outcome.to_json_dict(),
            "provenance_run": _provenance(cfg)}
     if not outcome.success:
         return EXIT_INCONCLUSIVE, out, None
-    bound_fam = parse_family(cfg.get("bound_family", cfg["family"]))
-    res = int(cfg.get("resolution", 64))
+    if experiment == "solve-theta":
+        return EXIT_OK, out, None
+
+    def bounds(cert):
+        return [b.descriptor() for b in product_bound_check(
+            cert, bound_family, solve["resolution"])]
+
     cert = outcome.certificate
-    if hasattr(cert, "components"):
-        bounds = [[b.descriptor() for b in product_bound_check(comp, bound_fam,
-                                                               res)]
-                  for comp in cert.components]
-    else:
-        bounds = [b.descriptor() for b in product_bound_check(cert, bound_fam,
-                                                              res)]
-    out["product_bounds_on_family"] = {"family": bound_fam.descriptor(),
-                                       "bounds": bounds}
+    out["product_bounds_on_family"] = {
+        "family": bound_family.descriptor(),
+        "bounds": ([bounds(c) for c in cert.components]
+                   if hasattr(cert, "components") else bounds(cert))}
     return EXIT_OK, out, None
 
 
@@ -458,83 +510,43 @@ def _default_trials(grid_half_width: float):
             ("indicator", indicator, indicator)]
 
 
-def _run_boundedness_sweep(cfg: dict) -> tuple[int, dict, Optional[list]]:
-    op = parse_operator(cfg["operator"])
-    gd = cfg["grid"]
-    grid = Grid(1, int(gd["n"]), float(gd["half_width"]))
-    q1, q2, q = (float(as_fraction(v)) for v in cfg["exponents"])
-    fam_cfg = cfg.get("weight_family", {"dim": 1, "half_width": gd["half_width"],
-                                        "min_level": 0, "max_level": 6})
-    fam = parse_family(fam_cfg)
-    qvec = Exponents((as_fraction(cfg["exponents"][0]),
-                     as_fraction(cfg["exponents"][1])))
-    weight_rows = []
-    for row in cfg["weights"]:
-        w1 = parse_weight(row["w1"]) if "w1" in row else None
-        w2 = parse_weight(row["w2"]) if "w2" in row else None
-        measured = None
-        if w1 is not None and w2 is not None:
-            measured = multilinear_constant((w1, w2), qvec, fam,
-                                            int(cfg.get("resolution", 64))).value
-        weight_rows.append({
-            "label": row.get("label", ""),
-            "w1": w1,
-            "w2": w2,
-            "w_out": parse_weight(row["w_out"]) if "w_out" in row else None,
-            "params": {k: row[k] for k in row if k.startswith("param")},
-            "class_constant": measured,
-        })
+def _run_boundedness_sweep(cfg: dict, operator, grid, qvec, exponents, rows,
+                           family, resolution):
+    weight_rows = [{**row, "class_constant": None
+                    if row["w1"] is None or row["w2"] is None
+                    else multilinear_constant((row["w1"], row["w2"]), qvec,
+                                              family, resolution).value}
+                   for row in rows]
     trials = _default_trials(grid.half_width)
-    rows = boundedness_sweep(op, grid, (q1, q2, q), weight_rows, trials)
-    prov = _provenance(cfg)
-    prov["applied"] = {"trials": [name for name, _, _ in trials],
-                       "grid": {"n": grid.n, "half_width": grid.half_width}}
+    results = boundedness_sweep(operator, grid, exponents, weight_rows, trials)
+    prov = _provenance(cfg, trials=[name for name, _, _ in trials],
+                       grid={"n": grid.n, "half_width": grid.half_width})
     out = {"experiment": "boundedness-sweep",
-           "rows": [r.descriptor() for r in rows],
+           "rows": [r.descriptor() for r in results],
            "provenance": prov}
     return EXIT_OK, out, None
 
 
-def _run_contrast(cfg: dict) -> tuple[int, dict, Optional[list]]:
-    op = parse_operator(cfg["operator"])
-    report = compactness_contrast(
-        op,
-        parse_pointwise(cfg["b_cmo"]),
-        parse_pointwise(cfg["b_bmo"]),
-        tuple(cfg["index"]),
-        [int(n) for n in cfg["refinements"]],
-        int(cfg["k_probe"]),
-        half_width=float(cfg.get("half_width", 4.0)),
-        n_basis=tuple(cfg.get("n_basis", [32, 32])),
-        contrast_factor=float(cfg.get("contrast_factor", 2.0)),
-    )
+def _run_contrast(cfg: dict, csv, **contrast):
+    report = compactness_contrast(**contrast)
     out = {"experiment": "compactness-contrast", **report.descriptor(),
            "provenance_run": _provenance(cfg)}
-    csv_rows = report.csv_rows() if cfg.get("csv", False) else None
     code = EXIT_INCONCLUSIVE if report.verdict == "inconclusive" else EXIT_OK
-    return code, out, csv_rows
+    return code, out, report.csv_rows() if csv else None
 
 
-def _run_symbol_norm(cfg: dict) -> tuple[int, dict, Optional[list]]:
-    spec = parse_symbol(cfg["symbol"])
-    j_min, j_max = int(cfg.get("j_min", -8)), int(cfg.get("j_max", 8))
-    kwargs = {
-        "s": cfg.get("s"),
-        "s_vec": tuple(cfg["s_vec"]) if "s_vec" in cfg else None,
-        "freq_halfwidth": float(cfg.get("freq_halfwidth", 4.0)),
-        "freq_resolution": int(cfg.get("freq_resolution", 128)),
-    }
-    value = symbol_sobolev_norm(spec, j_range=range(j_min, j_max + 1), **kwargs)
-    prov = _provenance(cfg)
-    prov["applied"] = {"j_range": [j_min, j_max],
-                       "freq_halfwidth": kwargs["freq_halfwidth"],
-                       "freq_resolution": kwargs["freq_resolution"]}
+def _run_symbol_norm(cfg: dict, symbol, j_min, j_max, stability_extension,
+                     **norm):
+    value = symbol_sobolev_norm(symbol, j_range=range(j_min, j_max + 1), **norm)
+    prov = _provenance(cfg, j_range=[j_min, j_max],
+                       freq_halfwidth=norm["freq_halfwidth"],
+                       freq_resolution=norm["freq_resolution"])
     out = {"experiment": "symbol-norm", "value": value,
            "j_range": [j_min, j_max], "provenance": prov}
-    ext = int(cfg.get("stability_extension", 0))
+    ext = stability_extension
     if ext:
-        wider = symbol_sobolev_norm(spec, j_range=range(j_min - ext, j_max + ext + 1),
-                                    **kwargs)
+        wider = symbol_sobolev_norm(
+            symbol, j_range=range(j_min - ext, j_max + ext + 1), **norm)
         out["extended_value"] = wider
         out["extension_growth"] = wider / value - 1.0 if value else 0.0
     return EXIT_OK, out, None
@@ -543,8 +555,8 @@ def _run_symbol_norm(cfg: dict) -> tuple[int, dict, Optional[list]]:
 _RUNNERS = {
     "weight-constant": _run_weight_constant,
     "characterize": _run_characterize,
-    "solve-theta": _run_solve_theta,
-    "product-bound": _run_product_bound,
+    "solve-theta": _run_solve,
+    "product-bound": _run_solve,
     "boundedness-sweep": _run_boundedness_sweep,
     "compactness-contrast": _run_contrast,
     "symbol-norm": _run_symbol_norm,
@@ -554,26 +566,28 @@ CSV_COLUMNS = ["N", "symbol_class", "k", "a_k", "a_k_over_a1"]
 
 
 def run_experiment(cfg: dict) -> tuple[int, Optional[dict], Optional[list]]:
-    """Validate and execute; returns (exit_code, output_doc, csv_rows)."""
-    errors = validate_config(cfg)
-    if errors:
-        return EXIT_CONFIG, {"errors": errors}, None
-    runner = _RUNNERS[cfg["experiment"]]
+    """Parse once and compute; returns (exit_code, output_doc, csv_rows)."""
     try:
-        return runner(cfg)
+        experiment, parsed = parse_config(cfg)
+    except ConfigError as exc:
+        return EXIT_CONFIG, {"errors": list(exc.args)}, None
+    try:
+        return _RUNNERS[experiment](cfg, **parsed)
     except Exception as exc:  # surfaced as the compute-error exit status
         return EXIT_COMPUTE, {"error": f"{type(exc).__name__}: {exc}"}, None
 
 
 def _apply_override(cfg: dict, key: str, raw: str) -> None:
-    parts = key.split(".")
+    *path, last = key.split(".")
     node = cfg
-    for p in parts[:-1]:
-        node = node.setdefault(p, {})
+    for part in path:
+        node = node.setdefault(part, {}) if isinstance(node, dict) else None
+    if not isinstance(node, dict):
+        raise ConfigError(f"override {key!r} does not name a key of an object")
     try:
-        node[parts[-1]] = json.loads(raw)
+        node[last] = json.loads(raw)
     except json.JSONDecodeError:
-        node[parts[-1]] = raw
+        node[last] = raw
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -600,52 +614,36 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"{row['name']:44s} {row['description']}")
         return EXIT_OK
 
-    if args.command == "validate":
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        errors = validate_config(cfg)
-        for e in errors:
-            print(f"config error: {e}", file=sys.stderr)
-        if not errors:
+    try:
+        if args.command == "run" and bool(args.config) == bool(args.preset):
+            raise ConfigError("provide exactly one of CONFIG or --preset")
+        if args.config:
+            try:
+                with open(args.config) as fh:
+                    cfg = json.load(fh)
+            except (OSError, json.JSONDecodeError) as exc:
+                raise ConfigError(str(exc)) from exc
+            name = os.path.splitext(os.path.basename(args.config))[0]
+        elif args.preset not in PRESETS:
+            raise ConfigError(f"unknown preset {args.preset!r}")
+        else:
+            cfg, name = preset_config(args.preset), args.preset
+        if args.command == "validate":
+            parse_config(cfg)
             print("ok")
-        return EXIT_CONFIG if errors else EXIT_OK
-
-    # run
-    if bool(args.config) == bool(args.preset):
-        print("config error: provide exactly one of CONFIG or --preset",
-              file=sys.stderr)
+            return EXIT_OK
+        for ov in args.override:
+            key, eq, raw = ov.partition("=")
+            if not eq:
+                raise ConfigError(f"bad override {ov!r}")
+            _apply_override(cfg, key, raw)
+        code, out, csv_rows = run_experiment(cfg)
+        if code == EXIT_CONFIG:
+            raise ConfigError(*out["errors"])
+    except ConfigError as exc:
+        for problem in exc.args:
+            print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.preset:
-        try:
-            cfg = preset_config(args.preset)
-        except KeyError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        name = args.preset
-    else:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        name = os.path.splitext(os.path.basename(args.config))[0]
-    for ov in args.override:
-        if "=" not in ov:
-            print(f"config error: bad override {ov!r}", file=sys.stderr)
-            return EXIT_CONFIG
-        key, _, raw = ov.partition("=")
-        _apply_override(cfg, key, raw)
-
-    code, out, csv_rows = run_experiment(cfg)
-    if code == EXIT_CONFIG:
-        for e in out.get("errors", []):
-            print(f"config error: {e}", file=sys.stderr)
-        return code
     os.makedirs(args.output_dir, exist_ok=True)
     json_path = os.path.join(args.output_dir, f"{name}.json")
     with open(json_path, "w") as fh:

@@ -68,9 +68,6 @@ class DiscretizedBilinearMap:
     norm_convention: str
     descriptor: dict
 
-    def rank_budget(self) -> int:
-        return min(self.matrix.shape)
-
 
 def discretize(op: BilinearOperator, grid: Grid,
                weights: Optional[tuple] = None,

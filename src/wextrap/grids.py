@@ -244,6 +244,13 @@ def _flag_divergent(fn, centers, side, dim, resolution, divergence_ratio,
     return v0, suspect & (total > divergence_ratio)
 
 
+def _check_resolution(resolution: int) -> None:
+    # With one node per cube an average is a point value, so every Ap
+    # quantity <w>_Q <w^(-1/(p-1))>_Q^(p-1) would read exactly 1.
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+
+
 def average(fn: Callable, cube: Cube, resolution: int,
             divergence_ratio: float = DIVERGENCE_RATIO) -> float:
     """Midpoint-rule average of fn over a cube; +inf if refinement diverges.
@@ -253,8 +260,7 @@ def average(fn: Callable, cube: Cube, resolution: int,
     a value that keeps growing through the doublings with total growth
     factor above divergence_ratio is reported as +inf.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    _check_resolution(resolution)
     centers = np.asarray([cube.center], dtype=float)
     vals, flagged = _flag_divergent(fn, centers, cube.side, cube.dim,
                                     resolution, divergence_ratio)
@@ -264,6 +270,7 @@ def average(fn: Callable, cube: Cube, resolution: int,
 def family_averages(family: CubeFamily, fn: Callable, resolution: int,
                     divergence_ratio: float = DIVERGENCE_RATIO) -> np.ndarray:
     """Per-cube averages over the whole family, +inf where divergent."""
+    _check_resolution(resolution)
     transform = family.node_transform()
     parts = []
     for _, _, centers, side in family.batches():
@@ -278,6 +285,7 @@ def family_averages(family: CubeFamily, fn: Callable, resolution: int,
 def family_extrema(family: CubeFamily, fn: Callable, resolution: int,
                    mode: str = "min") -> np.ndarray:
     """Per-cube extremum of fn over quadrature nodes (essential inf/sup proxy)."""
+    _check_resolution(resolution)
     reducer = np.min if mode == "min" else np.max
     transform = family.node_transform()
     parts = []

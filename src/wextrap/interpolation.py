@@ -19,7 +19,7 @@ verification share one algebraic shape, parametrized by a quadruple
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -44,55 +44,43 @@ class DegenerateParameterError(ValueError):
 
 
 @dataclass(frozen=True)
-class DiagonalVectorCase:
-    """Vector-class case with limited-range parameters s_j >= 1."""
+class DiagonalCase:
+    """Limited-range case with parameters s_j >= 1; a componentwise case
+    certifies each slot by its own scalar solve."""
 
     s: tuple[Frac, ...]
-    tag: str = field(default="diagonal_vector", init=False)
+    componentwise: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "s", tuple(as_fraction(v) for v in self.s))
         if any(v < 1 for v in self.s):
             raise ValueError("limited-range parameters must satisfy s_j >= 1")
 
-
-@dataclass(frozen=True)
-class DiagonalComponentwiseCase:
-    s: tuple[Frac, ...]
-    tag: str = field(default="diagonal_componentwise", init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", tuple(as_fraction(v) for v in self.s))
-        if any(v < 1 for v in self.s):
-            raise ValueError("limited-range parameters must satisfy s_j >= 1")
+    @property
+    def tag(self) -> str:
+        return "diagonal_componentwise" if self.componentwise else "diagonal_vector"
 
 
 @dataclass(frozen=True)
-class OffdiagonalVectorCase:
-    """Off-diagonal case with smoothing gap alpha >= 0 on the harmonic sums."""
+class OffdiagonalCase:
+    """Off-diagonal case with smoothing gap alpha >= 0 on the harmonic sums;
+    a componentwise case splits alpha evenly over the scalar solves."""
 
     alpha: Frac
-    tag: str = field(default="offdiagonal_vector", init=False)
+    componentwise: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
 
-
-@dataclass(frozen=True)
-class OffdiagonalComponentwiseCase:
-    alpha: Frac
-    tag: str = field(default="offdiagonal_componentwise", init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+    @property
+    def tag(self) -> str:
+        return ("offdiagonal_componentwise" if self.componentwise
+                else "offdiagonal_vector")
 
 
-Case = Union[DiagonalVectorCase, DiagonalComponentwiseCase,
-             OffdiagonalVectorCase, OffdiagonalComponentwiseCase]
+Case = Union[DiagonalCase, OffdiagonalCase]
 
 
 def _recip_sum(values: Sequence[Frac]) -> Frac:
@@ -425,7 +413,7 @@ def convexity_identity_check(theta, p: Sequence, q: Sequence, r: Sequence,
     else:
         pts = np.asarray(samples)
 
-    diagonal = isinstance(case, (DiagonalVectorCase, DiagonalComponentwiseCase))
+    diagonal = isinstance(case, DiagonalCase)
     w_res = 0.0
     for uj, vj, wj, pj, qj, rj in zip(u, v, w, p, q, r):
         if diagonal:
@@ -469,14 +457,6 @@ class _RawCheck:
     source_r: WeightClassPair
     source_q: WeightClassPair
     bound_exponents: tuple[Frac, Frac]
-
-
-def _class_pair(base: WeightSpec, exponent: Frac, class_factor: Frac):
-    """(W^E, A_MR) and its dual partner (W^(-E/(MR-1)), A_(MR)')."""
-    first = WeightClassPair(base.pow(exponent).simplify(), class_factor)
-    second = WeightClassPair(base.pow(-exponent / (class_factor - 1)).simplify(),
-                             conjugate(class_factor))
-    return first, second
 
 
 def _diagonal_raw_checks(qvec, rvec, svec, vvec, wvec, uvec, theta):
@@ -585,7 +565,7 @@ def product_bound_check(certificate: ThetaCertificate, family: CubeFamily,
 
 def _case_descriptor(case: Case) -> dict:
     d = {"tag": case.tag}
-    if isinstance(case, (DiagonalVectorCase, DiagonalComponentwiseCase)):
+    if isinstance(case, DiagonalCase):
         d["s"] = [str(v) for v in case.s]
     else:
         d["alpha"] = str(case.alpha)
@@ -615,7 +595,7 @@ def _input_exponent_problem(case: Case, qvec, rvec) -> Optional[str]:
     diagonal case (weak inequality); the certified output obeys the strict
     inequality.
     """
-    if isinstance(case, (DiagonalVectorCase, DiagonalComponentwiseCase)):
+    if isinstance(case, DiagonalCase):
         svec = case.s
         if any(qj <= sj for qj, sj in zip(qvec, svec)):
             return "q_j <= s_j"
@@ -656,8 +636,7 @@ def solve_theta(case: Case, qvec: Sequence, rvec: Sequence,
     m = len(rvec)
     if not (len(qvec) == len(vvec) == len(wvec) == m):
         raise ValueError("vector length mismatch")
-    if isinstance(case, (DiagonalVectorCase, DiagonalComponentwiseCase)) \
-            and len(case.s) != m:
+    if isinstance(case, DiagonalCase) and len(case.s) != m:
         raise ValueError("limited-range parameter length mismatch")
 
     provenance = {
@@ -678,13 +657,13 @@ def solve_theta(case: Case, qvec: Sequence, rvec: Sequence,
         return SolveOutcome(False, None, SolveFailure(
             case_d, f"hypothesis:exponents:{problem}", (), provenance))
 
-    if isinstance(case, (DiagonalComponentwiseCase, OffdiagonalComponentwiseCase)):
+    if case.componentwise:
         return _solve_componentwise(case, qvec, rvec, vvec, wvec, family, c_rhi,
                                     theta_schedule, resolution, growth_levels,
                                     stability_threshold, identity_samples, seed,
                                     case_d, provenance)
 
-    diagonal = isinstance(case, DiagonalVectorCase)
+    diagonal = isinstance(case, DiagonalCase)
     if diagonal:
         svec = case.s
         alpha = None
@@ -858,10 +837,10 @@ def _solve_componentwise(case, qvec, rvec, vvec, wvec, family, c_rhi,
     m = len(rvec)
     certs = []
     for j in range(m):
-        if isinstance(case, DiagonalComponentwiseCase):
-            scalar_case: Case = DiagonalVectorCase((case.s[j],))
+        if isinstance(case, DiagonalCase):
+            scalar_case: Case = DiagonalCase((case.s[j],))
         else:
-            scalar_case = OffdiagonalVectorCase(case.alpha / m)
+            scalar_case = OffdiagonalCase(case.alpha / m)
         outcome = solve_theta(scalar_case, (qvec[j],), (rvec[j],), (vvec[j],),
                               (wvec[j],), family, c_rhi, theta_schedule,
                               resolution, growth_levels, stability_threshold,

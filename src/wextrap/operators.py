@@ -43,31 +43,20 @@ class BilinearOperator:
 
 
 class _KernelOperator(BilinearOperator):
-    """Shared double-sum machinery; subclasses build per-output kernel rows.
-
-    Output points are independent, so the loop is split across worker
-    threads when WEXTRAP_THREADS allows; each worker writes its own slice.
-    """
+    """Shared double-sum machinery; subclasses build per-output kernel rows."""
 
     def _kernel_matrix(self, x, nodes, grid: Grid, x_index: int) -> np.ndarray:
         raise NotImplementedError
 
     def apply_pairs(self, F1, F2, grid):
-        from .parallel import run_chunks
-
         nodes = grid.flat_nodes()
-        size = nodes.shape[0]
         n1, n2 = F1.shape[0], F2.shape[0]
         dtype = np.result_type(F1.dtype, F2.dtype, float)
-        out = np.zeros((n1, n2, size), dtype=dtype)
+        out = np.zeros((n1, n2, nodes.shape[0]), dtype=dtype)
         vol = grid.cell_volume
-
-        def worker(start, stop):
-            for ix in range(start, stop):
-                K = self._kernel_matrix(nodes[ix], nodes, grid, ix)
-                out[:, :, ix] = (F1 @ K @ F2.T) * vol * vol
-
-        run_chunks(worker, size)
+        for ix in range(nodes.shape[0]):
+            K = self._kernel_matrix(nodes[ix], nodes, grid, ix)
+            out[:, :, ix] = (F1 @ K @ F2.T) * vol * vol
         return out
 
 

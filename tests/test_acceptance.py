@@ -15,10 +15,7 @@ import wextrap as wx
 from wextrap.characterization import (dual_weight, limited_range_criterion,
                                       offdiag_criterion, verify_equivalence)
 from wextrap.cli import run_experiment
-from wextrap.interpolation import (DiagonalComponentwiseCase,
-                                   DiagonalVectorCase,
-                                   OffdiagonalComponentwiseCase,
-                                   OffdiagonalVectorCase,
+from wextrap.interpolation import (DiagonalCase, OffdiagonalCase,
                                    convexity_identity_check,
                                    holder_split_diagonal,
                                    holder_split_diagonal_nu,
@@ -217,7 +214,7 @@ class TestCriterion4AlgebraSuite:
             u = intermediate_weights_diagonal(w, v, r, q, theta)
             p = intermediate_exponents(r, q, theta)
             rep = convexity_identity_check(theta, p, q, r, u, v, w,
-                                           DiagonalVectorCase(s), 400,
+                                           DiagonalCase(s), 400,
                                            seed=count)
             worst = max(worst, rep["exponent_residual"],
                         rep["nu_exponent_residual"],
@@ -254,7 +251,7 @@ class TestCriterion4AlgebraSuite:
             u = intermediate_weights_offdiagonal(w, v, theta)
             p = intermediate_exponents(r, q, theta)
             rep = convexity_identity_check(theta, p, q, r, u, v, w,
-                                           OffdiagonalVectorCase(alpha), 400,
+                                           OffdiagonalCase(alpha), 400,
                                            seed=count)
             worst = max(worst, rep["exponent_residual"],
                         rep["nu_exponent_residual"],
@@ -276,15 +273,15 @@ class TestCriterion4AlgebraSuite:
         fam = wx.build_cube_family(1, 4.0, 0, 4)
         w02 = power(F(1, 5))
         instances = [
-            (DiagonalComponentwiseCase((F(1), F(1))), (2, 2), (3, 3),
-             [(DiagonalVectorCase((F(1),)), 2, 3)] * 2),
-            (OffdiagonalComponentwiseCase(F(1, 4)), (2, 2), (4, 4),
-             [(OffdiagonalVectorCase(F(1, 8)), 2, 4)] * 2),
-            (DiagonalComponentwiseCase((F(1), F(1))), (2, 2), (4, 3),
-             [(DiagonalVectorCase((F(1),)), 2, 4),
-              (DiagonalVectorCase((F(1),)), 2, 3)]),
-            (OffdiagonalComponentwiseCase(F(1, 8)), (3, 3), (4, 4),
-             [(OffdiagonalVectorCase(F(1, 16)), 3, 4)] * 2),
+            (DiagonalCase((F(1), F(1)), componentwise=True), (2, 2), (3, 3),
+             [(DiagonalCase((F(1),)), 2, 3)] * 2),
+            (OffdiagonalCase(F(1, 4), componentwise=True), (2, 2), (4, 4),
+             [(OffdiagonalCase(F(1, 8)), 2, 4)] * 2),
+            (DiagonalCase((F(1), F(1)), componentwise=True), (2, 2), (4, 3),
+             [(DiagonalCase((F(1),)), 2, 4),
+              (DiagonalCase((F(1),)), 2, 3)]),
+            (OffdiagonalCase(F(1, 8), componentwise=True), (3, 3), (4, 4),
+             [(OffdiagonalCase(F(1, 16)), 3, 4)] * 2),
         ]
         for case, qv, rv, scalars in instances:
             bundle = solve_theta(case, qv, rv, (w02, w02), (w02, w02), fam,

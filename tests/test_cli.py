@@ -1,5 +1,6 @@
 """Driver tests: parsing, validation, presets, artifacts, exit codes."""
 
+import copy
 import json
 import math
 
@@ -82,6 +83,21 @@ class TestValidation:
         assert {"weight-constant", "characterize", "solve-theta",
                 "boundedness-sweep", "compactness-contrast",
                 "symbol-norm"} <= tags
+
+    @pytest.mark.parametrize("preset,changes", [
+        # one node per cube makes every Ap quantity read exactly 1
+        ("power-weight-ap", {"resolution": 1}),
+        # the coarsest map (N = 64, 32 x 32 basis) has only 64 singular values
+        ("cz-contrast", {"k_probe": 65}),
+        ("cz-contrast", {"refinements": [96]}),
+        ("cz-contrast", {"n_basis": [48, 32]}),
+    ])
+    def test_meaningless_input_rejected(self, preset, changes):
+        cfg = preset_config(preset)
+        cfg.update(changes)
+        code, out, _ = run_experiment(cfg)
+        assert code == EXIT_CONFIG
+        assert any(key in e for key in changes for e in out["errors"])
 
     def test_preset_case_mapping(self):
         cfg = preset_config("offdiagonal-certificate")
@@ -180,6 +196,14 @@ class TestMainEntry:
         doc = json.loads((tmp_path / "unit-weight-ap.json").read_text())
         assert "3" in doc["tag"]
 
+    def test_override_below_non_object_is_config_error(self, tmp_path,
+                                                        capsys):
+        code = main(["run", "--preset", "unit-weight-ap",
+                     "--override", "seed.x=1", "--output-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "seed.x" in capsys.readouterr().err
+        assert not (tmp_path / "unit-weight-ap.json").exists()
+
     def test_validate_subcommand(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(preset_config("log-symbol-bmo")))
@@ -194,6 +218,39 @@ class TestMainEntry:
 
     def test_requires_exactly_one_source(self):
         assert main(["run"]) == EXIT_CONFIG
+
+
+MUTANTS = (1, "x", None, [1], {"a": 1})
+
+
+def _mutations(cfg):
+    """Copies of cfg with one value replaced by one mutant: every key at the
+    top level, and every key of a dict nested one level down."""
+    for key, value in cfg.items():
+        paths = [(key,)]
+        if isinstance(value, dict):
+            paths += [(key, sub) for sub in value]
+        for path in paths:
+            for mutant in MUTANTS:
+                out = copy.deepcopy(cfg)
+                node = out
+                for part in path[:-1]:
+                    node = node[part]
+                node[path[-1]] = copy.deepcopy(mutant)
+                yield path, out
+
+
+class TestMutatedPresets:
+    def test_type_mutations_give_problems_never_tracebacks(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        for name in sorted(PRESETS):
+            for where, cfg in _mutations(preset_config(name)):
+                problems = validate_config(cfg)
+                assert isinstance(problems, list), (name, where)
+                assert all(isinstance(p, str) for p in problems)
+                path.write_text(json.dumps(cfg))
+                expected = EXIT_CONFIG if problems else EXIT_OK
+                assert main(["validate", str(path)]) == expected, (name, where)
 
 
 class TestCanonicalJson:

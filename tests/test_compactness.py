@@ -140,15 +140,6 @@ class TestApproximationNumbers:
         assert vals[2] > 0
         assert vals[3] / vals[0] < 1e-10
 
-    def test_thread_cap_does_not_change_values(self, monkeypatch):
-        g = Grid(1, 64, 4.0)
-        op = FractionalIntegralOperator(1.0)
-        monkeypatch.setenv("WEXTRAP_THREADS", "1")
-        base = discretize(op, g, n_basis=(8, 8)).matrix
-        monkeypatch.setenv("WEXTRAP_THREADS", "3")
-        threaded = discretize(op, g, n_basis=(8, 8)).matrix
-        np.testing.assert_array_equal(base, threaded)
-
     def test_refinement_consistency_of_leading_values(self):
         # a_k at N and 2N on the shared coarse basis agree for k <= 8
         op = FractionalIntegralOperator(1.0)

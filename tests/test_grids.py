@@ -7,7 +7,7 @@ import pytest
 
 from wextrap.grids import (Cube, EvaluationError, Grid,
                            GridFunction, average, build_cube_family,
-                           family_averages, weighted_lp_norm)
+                           family_averages, family_extrema, weighted_lp_norm)
 
 
 class TestCubeFamily:
@@ -85,6 +85,10 @@ class TestAverage:
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ValueError):
             average(lambda x: x, Cube((0.0,), 1.0), 1)
+        fam = build_cube_family(1, 1.0, 0, 2)
+        for reduce in (family_averages, family_extrema):
+            with pytest.raises(ValueError):
+                reduce(fam, lambda x: x, 1)
 
     def test_unevaluable_function_raises(self):
         cube = Cube((0.0,), 2.0)

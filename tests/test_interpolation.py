@@ -9,10 +9,7 @@ import pytest
 
 import wextrap as wx
 from wextrap.interpolation import (DegenerateParameterError,
-                                   DiagonalComponentwiseCase,
-                                   DiagonalVectorCase,
-                                   OffdiagonalComponentwiseCase,
-                                   OffdiagonalVectorCase,
+                                   DiagonalCase, OffdiagonalCase,
                                    convexity_identity_check, holder_split_diagonal,
                                    holder_split_diagonal_nu,
                                    holder_split_offdiagonal,
@@ -182,7 +179,7 @@ class TestHolderSplits:
 class TestSolveTheta:
     def test_trivial_instance_takes_first_theta(self):
         w = (power(F(1, 5)), power(F(1, 5)))
-        out = solve_theta(DiagonalVectorCase((F(1), F(1))), (3, 3), (3, 3),
+        out = solve_theta(DiagonalCase((F(1), F(1))), (3, 3), (3, 3),
                           w, w, family(5), resolution=32)
         assert out.success
         assert out.certificate.theta == F(1, 2)
@@ -190,7 +187,7 @@ class TestSolveTheta:
 
     def test_diagonal_worked_instance(self):
         w = (power(F(1, 5)), power(F(1, 5)))
-        out = solve_theta(DiagonalVectorCase((F(1), F(1))), (2, 2), (3, 3),
+        out = solve_theta(DiagonalCase((F(1), F(1))), (2, 2), (3, 3),
                           w, w, family(6), resolution=64)
         assert out.success
         cert = out.certificate
@@ -212,7 +209,7 @@ class TestSolveTheta:
 
     def test_offdiagonal_worked_instance(self):
         w = (power(F(1, 5)), power(F(1, 5)))
-        out = solve_theta(OffdiagonalVectorCase(F(1, 4)), (2, 2), (4, 4),
+        out = solve_theta(OffdiagonalCase(F(1, 4)), (2, 2), (4, 4),
                           w, w, family(6), resolution=64)
         assert out.success
         cert = out.certificate
@@ -222,27 +219,27 @@ class TestSolveTheta:
     def test_success_monotone_over_schedule_suffix(self):
         w = (power(F(1, 5)), power(F(1, 5)))
         fam = family(5)
-        first = solve_theta(DiagonalVectorCase((F(1), F(1))), (2, 2), (3, 3),
+        first = solve_theta(DiagonalCase((F(1), F(1))), (2, 2), (3, 3),
                             w, w, fam, resolution=32)
         assert first.success
         idx = first.certificate.schedule_index
         from wextrap.interpolation import DEFAULT_THETA_SCHEDULE
         for theta in DEFAULT_THETA_SCHEDULE[idx:idx + 4]:
-            out = solve_theta(DiagonalVectorCase((F(1), F(1))), (2, 2), (3, 3),
+            out = solve_theta(DiagonalCase((F(1), F(1))), (2, 2), (3, 3),
                               w, w, fam, theta_schedule=(theta,), resolution=32)
             assert out.success
 
     def test_hypothesis_violation_reported(self):
         # w = |x|^2 is far outside every admissible class
         w = (power(2), power(2))
-        out = solve_theta(DiagonalVectorCase((F(1), F(1))), (2, 2), (3, 3),
+        out = solve_theta(DiagonalCase((F(1), F(1))), (2, 2), (3, 3),
                           w, w, family(5), resolution=32)
         assert not out.success
         assert out.failure.blocking_check.startswith("hypothesis:membership")
 
     def test_inadmissible_input_exponents_reported(self):
         w = (power(F(1, 5)), power(F(1, 5)))
-        out = solve_theta(DiagonalVectorCase((F(1), F(1))), (2, 2), (1, 1),
+        out = solve_theta(DiagonalCase((F(1), F(1))), (2, 2), (1, 1),
                           w, w, family(4), resolution=32)
         assert not out.success
         assert out.failure.blocking_check.startswith("hypothesis:exponents")
@@ -251,12 +248,12 @@ class TestSolveTheta:
         w = (power(F(1, 5)), power(F(3, 10)))
         v = (power(F(1, 10)), power(F(1, 5)))
         fam = family(4)
-        out = solve_theta(DiagonalComponentwiseCase((F(1), F(1))), (2, 2),
-                          (3, 4), v, w, fam, resolution=32)
+        out = solve_theta(DiagonalCase((F(1), F(1)), componentwise=True),
+                          (2, 2), (3, 4), v, w, fam, resolution=32)
         assert out.success
         bundle = out.certificate
         for j, (qj, rj) in enumerate([(2, 3), (2, 4)]):
-            scalar = solve_theta(DiagonalVectorCase((F(1),)), (qj,), (rj,),
+            scalar = solve_theta(DiagonalCase((F(1),)), (qj,), (rj,),
                                  (v[j],), (w[j],), fam, resolution=32)
             assert scalar.success
             assert canonical_json(bundle.components[j].to_json_dict()) \
@@ -266,10 +263,10 @@ class TestSolveTheta:
     def test_componentwise_offdiagonal_uses_half_gap(self):
         w = (power(F(1, 5)), power(F(1, 5)))
         fam = family(4)
-        out = solve_theta(OffdiagonalComponentwiseCase(F(1, 4)), (2, 2), (4, 4),
-                          w, w, fam, resolution=32)
+        out = solve_theta(OffdiagonalCase(F(1, 4), componentwise=True),
+                          (2, 2), (4, 4), w, w, fam, resolution=32)
         assert out.success
-        scalar = solve_theta(OffdiagonalVectorCase(F(1, 8)), (2,), (4,),
+        scalar = solve_theta(OffdiagonalCase(F(1, 8)), (2,), (4,),
                              (w[0],), (w[0],), fam, resolution=32)
         assert canonical_json(out.certificate.components[0].to_json_dict()) \
             == canonical_json(scalar.certificate.to_json_dict())
@@ -283,7 +280,7 @@ class TestIdentityCheck:
         u = intermediate_weights_diagonal(w, v, r, q, theta)
         p = intermediate_exponents(r, q, theta)
         rep = convexity_identity_check(theta, p, q, r, u, v, w,
-                                       DiagonalVectorCase((F(1), F(1))), 1000)
+                                       DiagonalCase((F(1), F(1))), 1000)
         assert rep["exponent_residual"] == 0.0
         assert rep["weight_identity_max"] < 1e-12
         assert rep["nu_identity_max"] < 1e-12
@@ -297,7 +294,7 @@ class TestIdentityCheck:
         bump = 1e-3
         u_pert = (wx.ConstantWeight(1.0 + bump) * u[0],)
         rep = convexity_identity_check(theta, p, q, r, u_pert, v, w,
-                                       DiagonalVectorCase((F(1),)), 500)
+                                       DiagonalCase((F(1),)), 500)
         expected = bump * float((1 - theta) / p[0])
         assert rep["weight_identity_max"] == pytest.approx(expected, rel=0.01)
 
@@ -308,7 +305,7 @@ class TestIdentityCheck:
         u = intermediate_weights_offdiagonal(w, v, theta)
         p = intermediate_exponents((4, 4), (2, 2), theta)
         rep = convexity_identity_check(theta, p, (2, 2), (4, 4), u, v, w,
-                                       OffdiagonalVectorCase(F(1, 4)), 1000)
+                                       OffdiagonalCase(F(1, 4)), 1000)
         assert rep["nu_identity_max"] < 1e-12
 
     def test_limit_consistency(self):
@@ -331,7 +328,7 @@ class TestIdentityCheck:
 class TestProductBounds:
     def test_unit_weights_give_ratio_one(self):
         ones = (wx.ConstantWeight(1), wx.ConstantWeight(1))
-        out = solve_theta(DiagonalVectorCase((F(1), F(1))), (2, 2), (3, 3),
+        out = solve_theta(DiagonalCase((F(1), F(1))), (2, 2), (3, 3),
                           ones, ones, family(4), resolution=32)
         assert out.success
         for bound in out.certificate.product_bounds:
@@ -345,7 +342,7 @@ class TestProductBounds:
         w = (power(F(1, 5)), power(F(1, 5)))
         fam = family(4)
         for theta in (F(1, 4), F(1, 8), F(1, 16)):
-            out = solve_theta(DiagonalVectorCase((F(1), F(1))), (3, 3), (3, 3),
+            out = solve_theta(DiagonalCase((F(1), F(1))), (3, 3), (3, 3),
                               w, w, fam, theta_schedule=(theta,), resolution=32)
             assert out.success
             for check in out.certificate.checks:
@@ -354,7 +351,7 @@ class TestProductBounds:
 
     def test_worked_instance_ratios_finite(self):
         w = (power(F(1, 5)), power(F(1, 5)))
-        out = solve_theta(DiagonalVectorCase((F(1), F(1))), (2, 2), (3, 3),
+        out = solve_theta(DiagonalCase((F(1), F(1))), (2, 2), (3, 3),
                           w, w, family(5), resolution=32)
         assert out.success
         bounds = product_bound_check(out.certificate, family(5), 32)
