@@ -148,10 +148,12 @@ def _cz_model_kernel(rho: float) -> KernelSpec:
 
 
 def parse_operator(d: dict):
+    if int(d.get("dim", 1)) != 1:
+        raise ConfigError("operators run on 1-D grids: dim must be 1")
     t = d.get("type")
     if t == "fractional_integral":
-        return FractionalIntegralOperator(float(d["beta"]), int(d.get("dim", 1)),
-                                          d.get("convention", "homogeneous"))
+        return FractionalIntegralOperator(
+            float(d["beta"]), convention=d.get("convention", "homogeneous"))
     if t == "fourier_multiplier":
         return FourierMultiplierOperator(parse_symbol(d["symbol"]))
     if t == "cz_model":
@@ -590,7 +592,7 @@ def _apply_override(cfg: dict, key: str, raw: str) -> None:
         node[last] = raw
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wextrap",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -606,8 +608,15 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     val_p = sub.add_parser("validate", help="validate a config file")
     val_p.add_argument("config", help="path to a config JSON file")
+    return parser
 
-    args = parser.parse_args(argv)
+
+# Built once: every `main` call only parses with it.
+_PARSER = _build_parser()
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _PARSER.parse_args(argv)
 
     if args.command == "presets":
         for row in list_presets():

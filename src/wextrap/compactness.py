@@ -99,8 +99,6 @@ def discretize(op: BilinearOperator, grid: Grid,
     wo = np.ones(grid.size()) if w_out is None else np.asarray(w_out(nodes), float)
     out_scale = np.sqrt(wo * vol)
 
-    M = (cols * out_scale[None, None, :]).reshape(n1 * n2, grid.size()).T
-
     def gram_half_inv(F, w):
         wv = np.ones(grid.size()) if w is None else np.asarray(w(nodes), float)
         G = (F * wv[None, :]) @ F.conj().T * vol
@@ -109,9 +107,12 @@ def discretize(op: BilinearOperator, grid: Grid,
             raise ValueError("weighted basis Gram matrix is not positive definite")
         return evecs @ np.diag(evals ** -0.5) @ evecs.conj().T
 
+    # Whiten each input axis of the (n1, n2, size) column tensor; this is
+    # M @ kron(Gi1, Gi2) for the (size, n1*n2) column matrix M.
     Gi1 = gram_half_inv(F1, w1)
     Gi2 = gram_half_inv(F2, w2)
-    M = M @ np.kron(Gi1, Gi2)
+    cols = np.tensordot(Gi1, cols * out_scale[None, None, :], axes=(0, 0))
+    M = np.matmul(Gi2.T, cols).reshape(n1 * n2, grid.size()).T
 
     desc = {
         "operator": op.descriptor(),

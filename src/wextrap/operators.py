@@ -1,11 +1,13 @@
 """Desk-scale discretizations of the three application operators and their
 commutators with bounded-mean-oscillation symbols.
 
-Kernel operators act on truncated non-periodic grids through explicit double
-sums; the Fourier multiplier acts on the periodic grid through discrete
-transforms.  Every operator exposes `apply` for a single pair and
-`apply_pairs` for stacks of inputs (the column generator used by the
-compactness lab).
+Kernel operators act on truncated non-periodic grids as quadrature double
+sums.  On a 1-D grid each output point's kernel matrix is a window of one
+translation-invariant offset table, built once per call; 2-D grids build the
+matrix per output point.  The Fourier multiplier acts on the periodic grid
+through discrete transforms.  Every operator exposes `apply` for a single
+pair and `apply_pairs` for stacks of inputs (the column generator used by
+the compactness lab).
 """
 
 from __future__ import annotations
@@ -23,6 +25,17 @@ def _dist(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     if dim == 1:
         return np.abs(a - b)
     return np.sqrt(np.sum((a - b) ** 2, axis=-1))
+
+
+def _offsets(grid: Grid) -> np.ndarray:
+    """Node differences (-(n-1), ..., n-1) * h of a 1-D grid."""
+    return np.arange(-(grid.n - 1), grid.n) * grid.spacing
+
+
+def _window(T: np.ndarray, n: int, ix: int) -> np.ndarray:
+    """Kernel matrix of output node ix of an n-node grid, from its offset table."""
+    lo = n - 1 - ix
+    return T[lo:lo + n, lo:lo + n]
 
 
 class BilinearOperator:
@@ -43,20 +56,35 @@ class BilinearOperator:
 
 
 class _KernelOperator(BilinearOperator):
-    """Shared double-sum machinery; subclasses build per-output kernel rows."""
+    """Shared double-sum machinery.
+
+    Subclasses give the kernel matrix K_x[a, b] = k(x, y_a, y_b) for one
+    output point, and the offset table T[i, j] = k(0, u_i, u_j) on the
+    offsets u = (-(n-1), ..., n-1) * h of a 1-D grid.  There K_x is the
+    window of T starting at offset n - 1 - ix in both axes.
+    """
 
     def _kernel_matrix(self, x, nodes, grid: Grid, x_index: int) -> np.ndarray:
         raise NotImplementedError
 
+    def _offset_table(self, grid: Grid) -> np.ndarray:
+        raise NotImplementedError
+
     def apply_pairs(self, F1, F2, grid):
+        if grid.dim != self.dim:
+            raise ValueError(f"a {self.dim}-D kernel on a {grid.dim}-D grid")
         nodes = grid.flat_nodes()
         n1, n2 = F1.shape[0], F2.shape[0]
         dtype = np.result_type(F1.dtype, F2.dtype, float)
         out = np.zeros((n1, n2, nodes.shape[0]), dtype=dtype)
         vol = grid.cell_volume
+        if grid.dim == 1:
+            T, n = self._offset_table(grid), grid.n
+            kernel_at = lambda ix: _window(T, n, ix)
+        else:
+            kernel_at = lambda ix: self._kernel_matrix(nodes[ix], nodes, grid, ix)
         for ix in range(nodes.shape[0]):
-            K = self._kernel_matrix(nodes[ix], nodes, grid, ix)
-            out[:, :, ix] = (F1 @ K @ F2.T) * vol * vol
+            out[:, :, ix] = (F1 @ kernel_at(ix) @ F2.T) * vol * vol
         return out
 
 
@@ -102,6 +130,13 @@ class FractionalIntegralOperator(_KernelOperator):
         K[x_index, x_index] = self._singular_cell_average(x, grid)
         return K
 
+    def _offset_table(self, grid):
+        u2 = _offsets(grid) ** 2
+        with np.errstate(divide="ignore"):
+            T = (u2[:, None] + u2[None, :]) ** self._exponent()
+        T[grid.n - 1, grid.n - 1] = self._singular_cell_average(0.0, grid)
+        return T
+
     def _singular_cell_average(self, x, grid) -> float:
         h = grid.spacing
         k = self.oversample
@@ -142,14 +177,50 @@ class KernelSpec:
 class TruncatedKernelOperator(_KernelOperator):
     """rho-truncated singular integral: the region |(y1,y2)-(x,x)| <= rho
     is removed, so the operator is the documented truncation, never a
-    principal-value limit."""
+    principal-value limit.
+
+    The kernel must be translation invariant, k(x, y1, y2) =
+    k(0, y1 - x, y2 - x): on a 1-D grid every output point reads its kernel
+    matrix from one offset table.  The table is checked against the kernel
+    evaluated directly at the first and last output node, and a kernel that
+    disagrees there raises ValueError.
+    """
 
     spec: KernelSpec
     dim: int = 1
 
-    def _kernel_matrix(self, x, nodes, grid, x_index):
+    def _check_spacing(self, grid):
         if grid.spacing >= self.spec.truncation_radius:
             raise ValueError("grid spacing must be below the truncation radius")
+
+    def _truncated(self, K, r2):
+        K = np.asarray(K, dtype=float)
+        K[r2 <= self.spec.truncation_radius ** 2] = 0.0
+        return K
+
+    def _offset_table(self, grid):
+        self._check_spacing(grid)
+        u = _offsets(grid)
+        T = np.asarray(self.spec.kernel(0.0, u[:, None], u[None, :]),
+                       dtype=float)
+        # Compared before truncation, so rounding at the radius cannot flag
+        # an invariant kernel.
+        nodes, n = grid.flat_nodes(), grid.n
+        for ix in (0, n - 1):
+            direct = np.asarray(self.spec.kernel(nodes[ix], nodes[:, None],
+                                                 nodes[None, :]), dtype=float)
+            scale = np.max(np.abs(direct), where=np.isfinite(direct),
+                           initial=0.0)
+            if not np.allclose(_window(T, n, ix), direct, rtol=1e-9,
+                               atol=1e-12 * scale, equal_nan=True):
+                raise ValueError("kernel is not translation invariant: the "
+                                 "offset table disagrees with k(x, y1, y2) at "
+                                 f"x = {nodes[ix]}")
+        u2 = u ** 2
+        return self._truncated(T, u2[:, None] + u2[None, :])
+
+    def _kernel_matrix(self, x, nodes, grid, x_index):
+        self._check_spacing(grid)
         d1 = _dist(x, nodes, self.dim) ** 2
         r2 = d1[:, None] + d1[None, :]
         if self.dim == 1:
@@ -157,9 +228,7 @@ class TruncatedKernelOperator(_KernelOperator):
         else:
             K = self.spec.kernel(x[None, None, :], nodes[:, None, :],
                                  nodes[None, :, :])
-        K = np.asarray(K, dtype=float)
-        K[r2 <= self.spec.truncation_radius ** 2] = 0.0
-        return K
+        return self._truncated(K, r2)
 
     def descriptor(self):
         return {"type": "truncated_kernel", "dim": self.dim,
@@ -233,9 +302,10 @@ class FourierMultiplierOperator(BilinearOperator):
         H2 = np.fft.fft(F2, axis=1)
         rows = np.arange(n)
         gather = (rows[:, None] - rows[None, :]) % n  # (k, k2) -> k1 index
+        sig_gathered = sig[gather, rows[None, :]]
         out = np.zeros((F1.shape[0], F2.shape[0], n), dtype=complex)
         for i in range(F1.shape[0]):
-            C = sig[gather, rows[None, :]] * H1[i][gather]
+            C = sig_gathered * H1[i][gather]
             G = C @ H2.T  # (n freq, n2)
             out[i] = (np.fft.ifft(G, axis=0) / n).T
         return out

@@ -99,6 +99,17 @@ class TestValidation:
         assert code == EXIT_CONFIG
         assert any(key in e for key in changes for e in out["errors"])
 
+    @pytest.mark.parametrize("preset", ["fractional-contrast",
+                                        "multiplier-product-sweep"])
+    def test_operator_dim_other_than_one_rejected(self, preset):
+        # every operator runner works on a 1-D grid
+        cfg = preset_config(preset)
+        cfg["operator"] = {"type": "fractional_integral", "beta": 1.0, "dim": 2}
+        assert validate_config(cfg)
+        code, out, _ = run_experiment(cfg)
+        assert code == EXIT_CONFIG
+        assert any("dim" in e for e in out["errors"])
+
     def test_preset_case_mapping(self):
         cfg = preset_config("offdiagonal-certificate")
         assert cfg["case"]["tag"] == "offdiagonal_vector"
@@ -195,6 +206,18 @@ class TestMainEntry:
         assert code == 0
         doc = json.loads((tmp_path / "unit-weight-ap.json").read_text())
         assert "3" in doc["tag"]
+
+    def test_override_does_not_leak_into_next_call(self, tmp_path):
+        assert main(["run", "--preset", "unit-weight-ap",
+                     "--override", "class.p=\"3\"",
+                     "--output-dir", str(tmp_path / "a")]) == 0
+        assert main(["run", "--preset", "unit-weight-ap",
+                     "--output-dir", str(tmp_path / "b")]) == 0
+        first = json.loads((tmp_path / "a" / "unit-weight-ap.json").read_text())
+        second = (tmp_path / "b" / "unit-weight-ap.json").read_text()
+        assert "3" in first["tag"]
+        _, plain, _ = run_experiment(preset_config("unit-weight-ap"))
+        assert second == canonical_json(plain)
 
     def test_override_below_non_object_is_config_error(self, tmp_path,
                                                         capsys):

@@ -72,6 +72,33 @@ class TestDiscretize:
         assert rep.values[0] > 0
 
 
+    def test_per_axis_whitening_matches_kron(self):
+        # Fourier rows under power weights have non-diagonal Gram matrices
+        g = Grid(1, 64, 4.0)
+        op = FourierMultiplierOperator(SymbolSpec(
+            lambda a, b: (1.0 + np.asarray(a) ** 2 + np.asarray(b) ** 2) ** -0.5))
+        w1 = wx.PowerWeight((-0.61,), wx.as_fraction("1/5"))
+        w2 = wx.PowerWeight((0.37,), wx.as_fraction("-1/3"))
+        w_out = wx.PowerWeight((-1.29,), wx.as_fraction("1/2"))
+        n1, n2 = 8, 4
+        dmap = discretize(op, g, weights=(w1, w2, w_out), basis="fourier",
+                          n_basis=(n1, n2))
+
+        nodes, vol = g.flat_nodes(), g.cell_volume
+        F1, F2 = fourier_basis(g, n1), fourier_basis(g, n2)
+
+        def gram_half_inv(F, w):
+            G = (F * w(nodes)[None, :]) @ F.conj().T * vol
+            evals, evecs = np.linalg.eigh(G)
+            return evecs @ np.diag(evals ** -0.5) @ evecs.conj().T
+
+        Gi1, Gi2 = gram_half_inv(F1, w1), gram_half_inv(F2, w2)
+        assert np.abs(Gi1 - np.diag(np.diag(Gi1))).max() > 1e-3
+        cols = op.apply_pairs(F1, F2, g) * np.sqrt(w_out(nodes) * vol)
+        M = cols.reshape(n1 * n2, g.size()).T @ np.kron(Gi1, Gi2)
+        np.testing.assert_allclose(dmap.matrix, M, rtol=1e-12)
+
+
 class TestApproximationNumbers:
     def test_rank_one_values(self):
         g = Grid(1, 32, 1.0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wextrap.compactness import indicator_basis
 from wextrap.grids import Grid, GridFunction, weighted_lp_norm
 from wextrap.operators import (CommutatorOperator, CommutatorSpec,
                                FourierMultiplierOperator,
@@ -147,6 +148,73 @@ class TestTruncatedKernel:
         op = TruncatedKernelOperator(model_kernel_spec(0.25))
         with pytest.raises(ValueError):
             op.apply(gf(g, smooth_bump(1.0)), gf(g, smooth_bump(1.0)))
+
+
+def per_point_apply_pairs(op, F1, F2, g):
+    """The double sum with each output point's kernel matrix built directly."""
+    nodes = g.flat_nodes()
+    out = np.zeros((F1.shape[0], F2.shape[0], nodes.shape[0]))
+    vol = g.cell_volume
+    for ix in range(nodes.shape[0]):
+        K = op._kernel_matrix(nodes[ix], nodes, g, ix)
+        out[:, :, ix] = (F1 @ K @ F2.T) * vol * vol
+    return out
+
+
+def table_inputs(g):
+    F = indicator_basis(g, 8)
+    return F, F * log_symbol()(g.flat_nodes())[None, :]
+
+
+KERNEL_OPERATORS = {
+    "fractional": FractionalIntegralOperator(1.0),
+    "cz_model": TruncatedKernelOperator(model_kernel_spec()),
+}
+
+
+class TestOffsetTable:
+    @pytest.mark.parametrize("name", sorted(KERNEL_OPERATORS))
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("half_width", [4.0, 2.0])
+    def test_equals_per_point_double_sum(self, name, n, half_width):
+        # dyadic spacing: node differences are exact, so the bits agree
+        op = KERNEL_OPERATORS[name]
+        g = Grid(1, n, half_width)
+        F1, F2 = table_inputs(g)
+        assert np.array_equal(op.apply_pairs(F1, F2, g),
+                              per_point_apply_pairs(op, F1, F2, g))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_OPERATORS))
+    @pytest.mark.parametrize("half_width", [3.0, 0.3])
+    def test_close_to_per_point_on_non_dyadic_spacing(self, name, half_width):
+        op = KERNEL_OPERATORS[name]
+        g = Grid(1, 64, half_width)
+        F1, F2 = table_inputs(g)
+        np.testing.assert_allclose(op.apply_pairs(F1, F2, g),
+                                   per_point_apply_pairs(op, F1, F2, g),
+                                   rtol=1e-9, atol=1e-12)
+
+    def test_non_translation_invariant_kernel_rejected(self):
+        base = model_kernel_spec().kernel
+        spec = KernelSpec(lambda x, y1, y2: (1.0 + x ** 2) * base(x, y1, y2),
+                          smoothness_order=1.0, truncation_radius=0.25)
+        g = grid(64)
+        F1, F2 = table_inputs(g)
+        with pytest.raises(ValueError, match="translation invariant"):
+            TruncatedKernelOperator(spec).apply_pairs(F1, F2, g)
+
+    def test_two_dimensional_grid_builds_per_point(self):
+        g = Grid(2, 4, 1.0)
+        op = FractionalIntegralOperator(2.0, dim=2)
+        F = np.eye(g.size())[:3]
+        out = op.apply_pairs(F, F, g)
+        np.testing.assert_array_equal(out, per_point_apply_pairs(op, F, F, g))
+        assert np.all(out > 0)
+
+    def test_operator_and_grid_dimension_must_agree(self):
+        F = np.ones((1, 64))
+        with pytest.raises(ValueError, match="1-D kernel on a 2-D grid"):
+            FractionalIntegralOperator(1.0).apply_pairs(F, F, Grid(2, 8, 1.0))
 
 
 class TestFourierMultiplier:
