@@ -272,8 +272,15 @@ def _parse_class(cfg: dict, kind, cls: dict) -> dict:
                 _read(cls, "q", as_fraction))
     elif kind in ("multilinear", "multilinear_limited", "multilinear_offdiag"):
         args = (_read(cfg, "weights", _weights), _read(cls, "p", Exponents))
+        if len(args[0]) != len(args[1]):
+            raise ConfigError("weights and p must have equal lengths")
         if kind == "multilinear_limited":
-            args += (_read(cls, "s", Exponents),)
+            s = _read(cls, "s", Exponents)
+            if len(s) != len(args[1]):
+                raise ConfigError("s and p must have equal lengths")
+            if any(sj > pj for sj, pj in zip(s, args[1])):
+                raise ConfigError("s must satisfy s_j <= p_j componentwise")
+            args += (s,)
         elif kind == "multilinear_offdiag":
             args += (_read(cls, "p_star", as_fraction),)
     else:
@@ -308,7 +315,10 @@ def _parse_solve(cfg: dict) -> dict:
     if not len(q) == len(r) == len(v) == len(w):
         raise ConfigError("q, r, v, w must have equal lengths")
     family = _read(cfg, "family", parse_family)
-    return {"experiment": cfg["experiment"], "case": _read(cfg, "case", parse_case),
+    case = _read(cfg, "case", parse_case)
+    if isinstance(case, DiagonalCase) and len(case.s) != len(q):
+        raise ConfigError("case.s and q must have equal lengths")
+    return {"experiment": cfg["experiment"], "case": case,
             "qvec": q, "rvec": r, "vvec": v, "wvec": w, "family": family,
             "bound_family": _read(cfg, "bound_family", parse_family, family),
             **_settings(cfg, "schedule_depth", "c_rhi", "resolution",

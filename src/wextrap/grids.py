@@ -34,15 +34,6 @@ class EvaluationError(ValueError):
     """A function could not be evaluated at quadrature nodes."""
 
 
-def _as_tuple(x, dim: int) -> tuple[float, ...]:
-    if np.isscalar(x):
-        return (float(x),) * dim
-    t = tuple(float(v) for v in x)
-    if len(t) != dim:
-        raise ValueError(f"expected {dim} coordinates, got {len(t)}")
-    return t
-
-
 @dataclass(frozen=True)
 class Cube:
     """Axis-parallel cube given by its center and sidelength."""
@@ -60,10 +51,6 @@ class Cube:
     def dim(self) -> int:
         return len(self.center)
 
-    @property
-    def volume(self) -> float:
-        return self.side ** self.dim
-
     def nodes(self, resolution: int) -> np.ndarray:
         """Midpoint quadrature nodes, shape (resolution**dim,) or (..., 2).
 
@@ -71,7 +58,7 @@ class Cube:
         with even resolutions they also avoid the center hyperplanes.
         """
         centers = np.asarray([self.center], dtype=float)
-        out = _batch_nodes(centers, self.side, self.dim, resolution)
+        out = _batch_nodes(centers, self.side, resolution)
         return out[0]
 
 
@@ -83,8 +70,9 @@ def _midpoint_offsets(dim: int, resolution: int) -> np.ndarray:
     return np.stack([u1.ravel(), u2.ravel()], axis=-1)
 
 
-def _batch_nodes(centers: np.ndarray, side: float, dim: int, resolution: int) -> np.ndarray:
+def _batch_nodes(centers: np.ndarray, side: float, resolution: int) -> np.ndarray:
     """Nodes for a batch of equal-size cubes: (ncubes, resolution**dim[, dim])."""
+    dim = centers.shape[1]
     offs = _midpoint_offsets(dim, resolution)
     if dim == 1:
         return centers[:, 0][:, None] + side * offs[None, :]
@@ -203,26 +191,26 @@ def _evaluate(fn: Callable, nodes: np.ndarray, spacing: float) -> np.ndarray:
     return vals
 
 
-def _batch_means(fn: Callable, centers: np.ndarray, side: float, dim: int,
-                 resolution: int, transform=None) -> np.ndarray:
-    nodes = _batch_nodes(centers, side, dim, resolution)
-    ncubes = nodes.shape[0]
+def _node_values(fn: Callable, centers: np.ndarray, side: float,
+                 resolution: int, transform) -> np.ndarray:
+    """fn at the quadrature nodes of a cube batch: (ncubes, resolution**dim)."""
+    dim = centers.shape[1]
+    nodes = _batch_nodes(centers, side, resolution)
     flat = nodes.reshape(-1) if dim == 1 else nodes.reshape(-1, dim)
     if transform is not None:
         flat = transform(flat)
-    vals = _evaluate(fn, flat, side / resolution)
-    return vals.reshape(ncubes, -1).mean(axis=1)
+    return _evaluate(fn, flat, side / resolution).reshape(len(centers), -1)
 
 
-def _flag_divergent(fn, centers, side, dim, resolution, divergence_ratio,
-                    transform=None):
-    """Return (means at base resolution, divergence mask) for a cube batch.
+def _checked_means(fn, centers, side, resolution, divergence_ratio,
+                   transform=None) -> np.ndarray:
+    """Means at the base resolution for a cube batch, +inf where divergent.
 
     A cube is flagged when its average grows monotonically (per-doubling
     ratio above GROWTH_FLOOR) through DIVERGENCE_DOUBLINGS doublings and the
     total growth factor exceeds divergence_ratio.
     """
-    v0 = _batch_means(fn, centers, side, dim, resolution, transform)
+    v0 = _node_values(fn, centers, side, resolution, transform).mean(axis=1)
     prev = v0
     suspect = np.ones(len(centers), dtype=bool)
     res = resolution
@@ -230,18 +218,18 @@ def _flag_divergent(fn, centers, side, dim, resolution, divergence_ratio,
     for _ in range(DIVERGENCE_DOUBLINGS):
         res *= 2
         cur = np.full_like(prev, np.nan)
-        cur[suspect] = _batch_means(fn, centers[suspect], side, dim, res,
-                                    transform)
+        cur[suspect] = _node_values(fn, centers[suspect], side, res,
+                                    transform).mean(axis=1)
         growing = suspect & (np.abs(cur) > GROWTH_FLOOR * np.abs(prev))
         if not growing.any():
-            return v0, np.zeros(len(centers), dtype=bool)
+            return v0
         suspect = growing
         last[suspect] = cur[suspect]
         prev = cur
     total = np.zeros(len(centers))
     nonzero = suspect & (np.abs(v0) > 0)
     total[nonzero] = np.abs(last[nonzero]) / np.abs(v0[nonzero])
-    return v0, suspect & (total > divergence_ratio)
+    return np.where(suspect & (total > divergence_ratio), np.inf, v0)
 
 
 def _check_resolution(resolution: int) -> None:
@@ -249,6 +237,15 @@ def _check_resolution(resolution: int) -> None:
     # quantity <w>_Q <w^(-1/(p-1))>_Q^(p-1) would read exactly 1.
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+
+
+def _per_layer(family: CubeFamily, resolution: int, reduce: Callable) -> np.ndarray:
+    """Concatenate reduce(centers, side, transform) over the family's layers;
+    transform is the family's periodic node wrap."""
+    _check_resolution(resolution)
+    transform = family.node_transform()
+    return np.concatenate([reduce(centers, side, transform)
+                           for _, _, centers, side in family.batches()])
 
 
 def average(fn: Callable, cube: Cube, resolution: int,
@@ -262,41 +259,39 @@ def average(fn: Callable, cube: Cube, resolution: int,
     """
     _check_resolution(resolution)
     centers = np.asarray([cube.center], dtype=float)
-    vals, flagged = _flag_divergent(fn, centers, cube.side, cube.dim,
-                                    resolution, divergence_ratio)
-    return math.inf if flagged[0] else float(vals[0])
+    return float(_checked_means(fn, centers, cube.side, resolution,
+                                divergence_ratio)[0])
 
 
 def family_averages(family: CubeFamily, fn: Callable, resolution: int,
                     divergence_ratio: float = DIVERGENCE_RATIO) -> np.ndarray:
     """Per-cube averages over the whole family, +inf where divergent."""
-    _check_resolution(resolution)
-    transform = family.node_transform()
-    parts = []
-    for _, _, centers, side in family.batches():
-        vals, flagged = _flag_divergent(fn, centers, side, family.dim,
-                                        resolution, divergence_ratio, transform)
-        vals = vals.copy()
-        vals[flagged] = np.inf
-        parts.append(vals)
-    return np.concatenate(parts)
+    return _per_layer(family, resolution, lambda centers, side, transform:
+                      _checked_means(fn, centers, side, resolution,
+                                     divergence_ratio, transform))
 
 
 def family_extrema(family: CubeFamily, fn: Callable, resolution: int,
                    mode: str = "min") -> np.ndarray:
     """Per-cube extremum of fn over quadrature nodes (essential inf/sup proxy)."""
-    _check_resolution(resolution)
     reducer = np.min if mode == "min" else np.max
-    transform = family.node_transform()
-    parts = []
-    for _, _, centers, side in family.batches():
-        nodes = _batch_nodes(centers, side, family.dim, resolution)
-        flat = nodes.reshape(-1) if family.dim == 1 else nodes.reshape(-1, family.dim)
-        if transform is not None:
-            flat = transform(flat)
-        vals = _evaluate(fn, flat, side / resolution)
-        parts.append(reducer(vals.reshape(len(centers), -1), axis=1))
-    return np.concatenate(parts)
+
+    def extremum(centers, side, transform):
+        vals = _node_values(fn, centers, side, resolution, transform)
+        return reducer(vals, axis=1)
+
+    return _per_layer(family, resolution, extremum)
+
+
+def family_oscillations(family: CubeFamily, fn: Callable,
+                        resolution: int) -> np.ndarray:
+    """Per-cube mean oscillation < |fn - <fn>_Q| >_Q over quadrature nodes."""
+
+    def oscillation(centers, side, transform):
+        vals = _node_values(fn, centers, side, resolution, transform)
+        return np.abs(vals - vals.mean(axis=1, keepdims=True)).mean(axis=1)
+
+    return _per_layer(family, resolution, oscillation)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .grids import (DEFAULT_RESOLUTION, DIVERGENCE_RATIO, CubeFamily,
-                    GridFunction, family_averages, family_extrema)
+                    GridFunction, family_averages, family_extrema,
+                    family_oscillations)
 
 ExponentLike = Union[Fraction, int, float, str]
 
@@ -275,10 +276,6 @@ class Exponents:
     def harmonic(self) -> Fraction:
         return 1 / sum(Fraction(1, 1) / v for v in self.values)
 
-    @property
-    def reciprocal_sum(self) -> Fraction:
-        return sum(Fraction(1, 1) / v for v in self.values)
-
     def conjugates(self) -> tuple:
         return tuple(conjugate(v) for v in self.values)
 
@@ -329,9 +326,6 @@ class ClassConstant:
     family: dict
     resolution: int
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
     def descriptor(self) -> dict:
         return {"value": self.value, "tag": self.tag, "family": self.family,
                 "resolution": self.resolution}
@@ -361,6 +355,24 @@ def _max_or_inf(quantities: np.ndarray) -> float:
     return float(np.max(quantities))
 
 
+def _coupled_quantities(nu: WeightSpec, a, slots, family: CubeFamily,
+                        resolution: int, divergence_ratio: float) -> np.ndarray:
+    """Per-cube <nu>_Q^a prod_j <w_j^(e_j)>_Q^(g_j) for slots (w_j, e_j, g_j).
+
+    A slot with e_j None is degenerate and contributes (inf_Q w_j)^(g_j).
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        out = family_averages(family, nu, resolution, divergence_ratio) ** float(a)
+        for w, e, g in slots:
+            if e is None:
+                base = family_extrema(family, w, resolution, mode="min")
+            else:
+                base = family_averages(family, w.pow(e), resolution,
+                                       divergence_ratio)
+            out = out * base ** float(g)
+    return out
+
+
 def muckenhoupt_quantities(w: WeightSpec, p: ExponentLike, family: CubeFamily,
                            resolution: int = DEFAULT_RESOLUTION,
                            divergence_ratio: float = DIVERGENCE_RATIO) -> np.ndarray:
@@ -368,15 +380,15 @@ def muckenhoupt_quantities(w: WeightSpec, p: ExponentLike, family: CubeFamily,
     p = as_fraction(p)
     if p < 1:
         raise ValueError("class exponent must satisfy p >= 1")
-    avg_w = family_averages(family, w, resolution, divergence_ratio)
     if p == 1:
+        # Outside _coupled_quantities: x * y**-1.0 can differ from x / y
+        # in the last bit.
+        avg_w = family_averages(family, w, resolution, divergence_ratio)
         inf_w = family_extrema(family, w, resolution, mode="min")
         with np.errstate(divide="ignore"):
             return avg_w / inf_w
-    dual = w.pow(Fraction(-1, 1) / (p - 1))
-    avg_d = family_averages(family, dual, resolution, divergence_ratio)
-    with np.errstate(over="ignore"):
-        return avg_w * avg_d ** float(p - 1)
+    return _coupled_quantities(w, 1, [(w, -1 / (p - 1), p - 1)], family,
+                               resolution, divergence_ratio)
 
 
 def muckenhoupt_constant(w: WeightSpec, p: ExponentLike, family: CubeFamily,
@@ -396,37 +408,23 @@ def muckenhoupt_pq_constant(w: WeightSpec, p: ExponentLike, q: ExponentLike,
     if not (1 < p <= q):
         raise ValueError("need 1 < p <= q < inf")
     pc = conjugate(p)
-    a1 = family_averages(family, w.pow(q), resolution, divergence_ratio)
-    a2 = family_averages(family, w.pow(-pc), resolution, divergence_ratio)
-    vals = a1 ** float(1 / q) * a2 ** float(1 / pc)
+    vals = _coupled_quantities(w.pow(q), 1 / q, [(w, -pc, 1 / pc)], family,
+                               resolution, divergence_ratio)
     return ClassConstant(_max_or_inf(vals), f"Apq({p},{q})",
                          family.descriptor(), resolution)
-
-
-def _inf_branch(w: WeightSpec, family: CubeFamily, resolution: int,
-                outer: float) -> np.ndarray:
-    inf_w = family_extrema(family, w, resolution, mode="min")
-    with np.errstate(divide="ignore"):
-        return inf_w ** outer
 
 
 def multilinear_quantities(wvec: Sequence[WeightSpec], pvec: Exponents,
                            family: CubeFamily,
                            resolution: int = DEFAULT_RESOLUTION,
                            divergence_ratio: float = DIVERGENCE_RATIO) -> np.ndarray:
-    """Per-cube <nu>^(1/p) prod <w_j^(1-p_j')>^(1/p_j'); p_j = 1 uses 1/inf w_j."""
-    wvec = tuple(wvec)
-    nu = composite_weight(wvec, pvec)
-    p = pvec.harmonic
-    out = family_averages(family, nu, resolution, divergence_ratio) ** float(1 / p)
-    for w, pj in zip(wvec, pvec.values):
-        if pj == 1:
-            out = out * _inf_branch(w, family, resolution, -1.0)
-        else:
-            pjc = conjugate(pj)
-            a = family_averages(family, w.pow(1 - pjc), resolution, divergence_ratio)
-            out = out * a ** float(1 / pjc)
-    return out
+    """Per-cube <nu>^(1/p) prod <w_j^(1-p_j')>^(1/p_j'); p_j = 1 uses 1/inf w_j.
+
+    This is the limited-range quantity with s = (1, ..., 1).
+    """
+    ones = Exponents((Fraction(1),) * len(pvec))
+    return multilinear_limited_range_quantities(wvec, pvec, ones, family,
+                                                resolution, divergence_ratio)
 
 
 def multilinear_constant(wvec: Sequence[WeightSpec], pvec: Exponents,
@@ -448,20 +446,15 @@ def multilinear_limited_range_quantities(wvec: Sequence[WeightSpec],
     The degenerate branch p_j = s_j contributes (inf_Q w_j)^(-1/p_j).
     """
     wvec = tuple(wvec)
+    if len(svec) != len(pvec):
+        raise ValueError("limited-range exponent vectors differ in length")
     if not all(sj <= pj for sj, pj in zip(svec.values, pvec.values)):
         raise ValueError("need s_j <= p_j componentwise")
-    nu = composite_weight(wvec, pvec)
-    p = pvec.harmonic
-    out = family_averages(family, nu, resolution, divergence_ratio) ** float(1 / p)
-    for w, pj, sj in zip(wvec, pvec.values, svec.values):
-        if pj == sj:
-            out = out * _inf_branch(w, family, resolution, float(-1 / pj))
-        else:
-            ratio_conj = conjugate(pj / sj)
-            a = family_averages(family, w.pow(1 - ratio_conj), resolution,
-                                divergence_ratio)
-            out = out * a ** float(1 / sj - 1 / pj)
-    return out
+    slots = [(w, None, -1 / pj) if pj == sj
+             else (w, 1 - conjugate(pj / sj), 1 / sj - 1 / pj)
+             for w, pj, sj in zip(wvec, pvec.values, svec.values)]
+    return _coupled_quantities(composite_weight(wvec, pvec), 1 / pvec.harmonic,
+                               slots, family, resolution, divergence_ratio)
 
 
 def multilinear_limited_range_constant(wvec: Sequence[WeightSpec],
@@ -486,17 +479,11 @@ def multilinear_offdiag_quantities(wvec: Sequence[WeightSpec], pvec: Exponents,
     m = len(wvec)
     if not (Fraction(1, m) < p <= p_star):
         raise ValueError("need 1/m < p <= p* < inf")
-    nu = composite_weight(wvec)
-    out = family_averages(family, nu.pow(p_star), resolution,
-                          divergence_ratio) ** float(1 / p_star)
-    for w, pj in zip(wvec, pvec.values):
-        if pj == 1:
-            out = out * _inf_branch(w, family, resolution, -1.0)
-        else:
-            pjc = conjugate(pj)
-            a = family_averages(family, w.pow(-pjc), resolution, divergence_ratio)
-            out = out * a ** float(1 / pjc)
-    return out
+    slots = [(w, None, -1) if pj == 1
+             else (w, -conjugate(pj), 1 / conjugate(pj))
+             for w, pj in zip(wvec, pvec.values)]
+    return _coupled_quantities(composite_weight(wvec).pow(p_star), 1 / p_star,
+                               slots, family, resolution, divergence_ratio)
 
 
 def multilinear_offdiag_constant(wvec: Sequence[WeightSpec], pvec: Exponents,
@@ -512,19 +499,7 @@ def multilinear_offdiag_constant(wvec: Sequence[WeightSpec], pvec: Exponents,
 def bmo_quantities(b: Callable, family: CubeFamily,
                    resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
     """Per-cube mean oscillation < |b - <b>_Q| >_Q."""
-    from .grids import _batch_nodes, _evaluate
-
-    transform = family.node_transform()
-    parts = []
-    for _, _, centers, side in family.batches():
-        nodes = _batch_nodes(centers, side, family.dim, resolution)
-        flat = nodes.reshape(-1) if family.dim == 1 else nodes.reshape(-1, family.dim)
-        if transform is not None:
-            flat = transform(flat)
-        vals = _evaluate(b, flat, side / resolution).reshape(len(centers), -1)
-        means = vals.mean(axis=1, keepdims=True)
-        parts.append(np.abs(vals - means).mean(axis=1))
-    return np.concatenate(parts)
+    return family_oscillations(family, b, resolution)
 
 
 def bmo_norm(b: Callable, family: CubeFamily,

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from wextrap import cli
 from wextrap.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_INCONCLUSIVE, EXIT_OK,
                          main, parse_case, parse_family, parse_operator,
                          parse_pointwise, parse_weight, run_experiment,
@@ -91,6 +92,13 @@ class TestValidation:
         ("cz-contrast", {"k_probe": 65}),
         ("cz-contrast", {"refinements": [96]}),
         ("cz-contrast", {"n_basis": [48, 32]}),
+        # lengths and orders of related vectors
+        ("characterize-limited-range", {"s": ["1"]}),
+        ("characterize-limited-range", {"p": ["2", "2"], "s": ["3", "1"]}),
+        ("diagonal-certificate", {"case": {"tag": "diagonal_vector",
+                                           "s": ["1"]}}),
+        ("unit-weight-ap", {"class": {"kind": "multilinear", "p": ["2", "2"]},
+                            "weights": [{"type": "constant", "value": 1.0}]}),
     ])
     def test_meaningless_input_rejected(self, preset, changes):
         cfg = preset_config(preset)
@@ -129,13 +137,15 @@ class TestRunExperiment:
         assert code == EXIT_CONFIG
         assert out["errors"]
 
-    def test_compute_error_exit(self):
-        cfg = preset_config("unit-weight-ap")
-        cfg["class"] = {"kind": "multilinear", "p": ["2", "2"]}
-        cfg["weights"] = [cfg["weight"]]  # length mismatch surfaces at run time
-        code, out, _ = run_experiment(cfg)
+    def test_compute_error_exit(self, monkeypatch):
+        # a config that parses, whose compute step raises
+        def fail(cfg, **parsed):
+            raise FloatingPointError("class constant produced NaN")
+
+        monkeypatch.setitem(cli._RUNNERS, "weight-constant", fail)
+        code, out, _ = run_experiment(preset_config("unit-weight-ap"))
         assert code == EXIT_COMPUTE
-        assert "error" in out
+        assert out == {"error": "FloatingPointError: class constant produced NaN"}
 
     def test_inconclusive_exit_for_failed_solve(self):
         cfg = preset_config("diagonal-certificate")

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from wextrap.grids import (Cube, EvaluationError, Grid,
+from wextrap.grids import (Cube, CubeFamily, EvaluationError, Grid,
                            GridFunction, average, build_cube_family,
                            family_averages, family_extrema, weighted_lp_norm)
+from wextrap.weights import bmo_quantities
 
 
 class TestCubeFamily:
@@ -124,6 +125,23 @@ class TestAverage:
         fam = build_cube_family(1, 1.0, 0, 1)
         vals = family_averages(fam, lambda x: x, 32)
         assert vals == pytest.approx([0.0, -0.5, 0.5], abs=1e-14)
+
+    def test_node_reductions_match_per_cube_wrapped_nodes(self):
+        # Cubes of the 0.25-shifted layer poke past the domain edge, and fn
+        # is not periodic, so the reductions see the wrap.
+        fam = CubeFamily(2, 1.0, 0, 2, shifts=(0.0, 0.25))
+        wrap = fam.node_transform()
+
+        def fn(x):
+            return x[:, 0] + 2.0 * x[:, 1] ** 2
+
+        per_cube = [fn(wrap(cube.nodes(8))) for cube in fam.cubes()]
+        assert np.array_equal(family_extrema(fam, fn, 8, mode="min"),
+                              [v.min() for v in per_cube])
+        assert np.array_equal(family_extrema(fam, fn, 8, mode="max"),
+                              [v.max() for v in per_cube])
+        assert np.array_equal(bmo_quantities(fn, fam, 8),
+                              [np.abs(v - v.mean()).mean() for v in per_cube])
 
 
 class TestWeightedNorm:
