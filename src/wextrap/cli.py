@@ -29,8 +29,7 @@ from .characterization import (limited_range_criterion, offdiag_criterion,
 from .compactness import (DEFAULT_BASIS_SIZE, DEFAULT_CONTRAST_FACTOR,
                           boundedness_sweep, compactness_contrast)
 from .grids import DIVERGENCE_RATIO, CubeFamily, Grid
-from .interpolation import (DiagonalCase, OffdiagonalCase,
-                            product_bound_check, solve_theta)
+from .interpolation import parse_case, product_bound_check, solve_theta
 from .operators import (FourierMultiplierOperator, FractionalIntegralOperator,
                         KernelSpec, RankOneOperator, SymbolSpec,
                         TruncatedKernelOperator, ZeroOperator, log_symbol,
@@ -166,26 +165,20 @@ def parse_operator(d: dict):
     raise ConfigError(f"unknown operator type {t!r}")
 
 
-def parse_case(d: dict):
-    tag = d.get("tag")
-    if tag in ("diagonal_vector", "diagonal_componentwise"):
-        return DiagonalCase(tuple(d["s"]), tag == "diagonal_componentwise")
-    if tag in ("offdiagonal_vector", "offdiagonal_componentwise"):
-        return OffdiagonalCase(as_fraction(d["alpha"]),
-                               tag == "offdiagonal_componentwise")
-    raise ConfigError(f"unknown case tag {tag!r}")
-
-
 def _integer(value) -> int:
     if not isinstance(value, int):
         raise ConfigError("must be an integer")
     return value
 
 
-def _resolution(value) -> int:
-    if int(value) < 2:
-        raise ConfigError("must be at least 2")
-    return int(value)
+def _at_least(low, convert: Callable = int) -> Callable:
+    """A parser: convert(value), refused below `low` (and NaN)."""
+    def parse(value):
+        value = convert(value)
+        if not value >= low:
+            raise ConfigError(f"must be at least {low}")
+        return value
+    return parse
 
 
 def _fractions(values) -> tuple[Fraction, ...]:
@@ -225,14 +218,15 @@ def _read(node: dict, key: str, parse: Callable, *default):
 # grids.DEFAULT_RESOLUTION = 128; runs from configs use 64.
 _SETTINGS = {
     "seed": (_integer, 0),
-    "resolution": (_resolution, 64),
-    "growth_levels": (int, 2),
+    "resolution": (_at_least(2), 64),
+    "growth_levels": (_at_least(1), 2),
     "threshold": (float, 0.01),
     "membership": (bool, False),
-    "c_rhi": (float, 2.0),
-    "schedule_depth": (int, 20),
+    # C < 1 in <w^t>^(1/t) <= C <w> fails every weight (Holder, t >= 1)
+    "c_rhi": (_at_least(1, float), 2.0),
+    "schedule_depth": (_at_least(1), 20),
     "stability_threshold": (float, 0.01),
-    "identity_samples": (int, 1000),
+    "identity_samples": (_at_least(1), 1000),
     "half_width": (float, 4.0),
     "n_basis": (_basis_sizes, (DEFAULT_BASIS_SIZE, DEFAULT_BASIS_SIZE)),
     "contrast_factor": (float, DEFAULT_CONTRAST_FACTOR),
@@ -282,12 +276,23 @@ def _parse_class(cfg: dict, kind, cls: dict) -> dict:
                 raise ConfigError("s must satisfy s_j <= p_j componentwise")
             args += (s,)
         elif kind == "multilinear_offdiag":
-            args += (_read(cls, "p_star", as_fraction),)
+            args += (_read(cls, "p_star",
+                           lambda v: _offdiag_p_star(v, args[1])),)
     else:
         raise ConfigError(f"unknown class kind {kind!r}")
     return {"kind": kind, "args": args,
             "family": _read(cfg, "family", parse_family),
             **_settings(cfg, "resolution", "growth_levels", "threshold")}
+
+
+def _offdiag_p_star(value, p: Exponents) -> Fraction:
+    """p* of the off-diagonal class, which needs 1/m < p <= p* for the
+    harmonic p = 1/(1/p_1 + ... + 1/p_m) of m exponents."""
+    p_star = as_fraction(value)
+    if not Fraction(1, len(p)) < p.harmonic <= p_star:
+        raise ConfigError(f"need 1/m < p <= p_star, got harmonic p = "
+                          f"{p.harmonic} with m = {len(p)}")
+    return p_star
 
 
 def _parse_weight_constant(cfg: dict) -> dict:
@@ -315,9 +320,15 @@ def _parse_solve(cfg: dict) -> dict:
     if not len(q) == len(r) == len(v) == len(w):
         raise ConfigError("q, r, v, w must have equal lengths")
     family = _read(cfg, "family", parse_family)
-    case = _read(cfg, "case", parse_case)
-    if isinstance(case, DiagonalCase) and len(case.s) != len(q):
-        raise ConfigError("case.s and q must have equal lengths")
+
+    def fitting_case(d: dict):
+        case = parse_case(d)
+        # raises when the case's parameters do not fit q; exponents outside
+        # the case's range are the solve's hypothesis failure (exit 4)
+        case.input_problem(q, r)
+        return case
+
+    case = _read(cfg, "case", fitting_case)
     return {"experiment": cfg["experiment"], "case": case,
             "qvec": q, "rvec": r, "vvec": v, "wvec": w, "family": family,
             "bound_family": _read(cfg, "bound_family", parse_family, family),

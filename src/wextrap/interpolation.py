@@ -19,7 +19,7 @@ verification share one algebraic shape, parametrized by a quadruple
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -41,46 +41,6 @@ IDENTITY_TOLERANCE = 1e-10
 
 class DegenerateParameterError(ValueError):
     """An intermediate exponent denominator vanished or left its range."""
-
-
-@dataclass(frozen=True)
-class DiagonalCase:
-    """Limited-range case with parameters s_j >= 1; a componentwise case
-    certifies each slot by its own scalar solve."""
-
-    s: tuple[Frac, ...]
-    componentwise: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", tuple(as_fraction(v) for v in self.s))
-        if any(v < 1 for v in self.s):
-            raise ValueError("limited-range parameters must satisfy s_j >= 1")
-
-    @property
-    def tag(self) -> str:
-        return "diagonal_componentwise" if self.componentwise else "diagonal_vector"
-
-
-@dataclass(frozen=True)
-class OffdiagonalCase:
-    """Off-diagonal case with smoothing gap alpha >= 0 on the harmonic sums;
-    a componentwise case splits alpha evenly over the scalar solves."""
-
-    alpha: Frac
-    componentwise: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-
-    @property
-    def tag(self) -> str:
-        return ("offdiagonal_componentwise" if self.componentwise
-                else "offdiagonal_vector")
-
-
-Case = Union[DiagonalCase, OffdiagonalCase]
 
 
 def _recip_sum(values: Sequence[Frac]) -> Frac:
@@ -255,6 +215,192 @@ class WeightClassPair:
                 "class_exponent": str(self.class_exponent)}
 
 
+# The two case classes are the only code that knows how the cases differ:
+# their admissible exponents, class constant, intermediate weights, Holder
+# splits and measured-bound pairs.  The solver and the certificate recheck
+# run one path over these methods.  `splits` and `pairs` are keyed by check
+# label, in check order: "component_0", ..., "component_{m-1}", "coupled".
+# A check's pairs are (target, r-side source, q-side source, exponents of
+# the measured product bound).
+
+@dataclass(frozen=True)
+class DiagonalCase:
+    """Limited-range case with parameters s_j >= 1; a componentwise case
+    certifies each slot by its own scalar solve."""
+
+    s: tuple[Frac, ...]
+    componentwise: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "s", tuple(as_fraction(v) for v in self.s))
+        if any(v < 1 for v in self.s):
+            raise ValueError("limited-range parameters must satisfy s_j >= 1")
+
+    @property
+    def tag(self) -> str:
+        return "diagonal_componentwise" if self.componentwise else "diagonal_vector"
+
+    def descriptor(self) -> dict:
+        return {"tag": self.tag, "s": [str(v) for v in self.s]}
+
+    def scalar(self, j: int, m: int) -> DiagonalCase:
+        """The one-slot case of slot j in a componentwise solve."""
+        return DiagonalCase((self.s[j],))
+
+    def input_problem(self, q, r) -> Optional[str]:
+        """Range check on the two given exponent vectors.
+
+        Harmonic reciprocal sums of the inputs may touch 1 (weak inequality);
+        the certified output obeys the strict inequality.
+        """
+        if len(self.s) != len(r):
+            raise ValueError("limited-range parameter length mismatch")
+        if any(qj <= sj for qj, sj in zip(q, self.s)):
+            return "q_j <= s_j"
+        if any(rj <= sj for rj, sj in zip(r, self.s)):
+            return "r_j <= s_j"
+        if _recip_sum(q) > 1 or _recip_sum(r) > 1:
+            return "input harmonic reciprocal sum exceeds 1"
+        return None
+
+    def output_problem(self, p) -> Optional[str]:
+        if any(pj <= sj for pj, sj in zip(p, self.s)):
+            return "p_j <= s_j"
+        if _recip_sum(p) >= 1:
+            return "1/p >= 1"
+        return None
+
+    def p_star(self, p) -> None:
+        return None
+
+    def class_constant(self, weights, exps: Exponents, family, resolution):
+        return multilinear_limited_range_constant(weights, exps, Exponents(self.s),
+                                                  family, resolution)
+
+    def intermediate_weights(self, w, v, r, q, theta) -> tuple[WeightSpec, ...]:
+        return intermediate_weights_diagonal(w, v, r, q, theta)
+
+    def splits(self, r, q, theta) -> dict:
+        out = {f"component_{j}": holder_split_diagonal(r, q, self.s, theta, j)
+               for j in range(len(r))}
+        out["coupled"] = holder_split_diagonal_nu(r, q, self.s, theta)
+        return out
+
+    def pairs(self, q, r, p, v, w, u, theta) -> dict:
+        s_h = _harmonic(self.s)
+        out = {}
+        for j, sj in enumerate(self.s):
+            rt, qt, pt = r[j] / sj, q[j] / sj, p[j] / sj
+            mt = sj / s_h
+            Rt, Qt, Pt = conjugate(rt), conjugate(qt), conjugate(pt)
+            out[f"component_{j}"] = (
+                WeightClassPair(u[j].pow(1 - Pt).simplify(), mt * Pt),
+                WeightClassPair(w[j].pow(1 - Rt).simplify(), mt * Rt),
+                WeightClassPair(v[j].pow(1 - Qt).simplify(), mt * Qt),
+                (Qt / (Qt - theta * Rt),
+                 theta * rt * (qt - 1) / (qt - theta * rt)))
+        r_h, q_h, p_h = _harmonic(r), _harmonic(q), _harmonic(p)
+        out["coupled"] = (
+            WeightClassPair(composite_weight(u, Exponents(p)), p_h / s_h),
+            WeightClassPair(composite_weight(w, Exponents(r)), r_h / s_h),
+            WeightClassPair(composite_weight(v, Exponents(q)), q_h / s_h),
+            (q_h / (q_h - theta * r_h), theta * r_h / (q_h - theta * r_h)))
+        return out
+
+
+@dataclass(frozen=True)
+class OffdiagonalCase:
+    """Off-diagonal case with smoothing gap alpha >= 0 on the harmonic sums;
+    a componentwise case splits alpha evenly over the scalar solves."""
+
+    alpha: Frac
+    componentwise: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", as_fraction(self.alpha))
+        if self.alpha < 0:
+            raise ValueError("alpha must be nonnegative")
+
+    @property
+    def tag(self) -> str:
+        return ("offdiagonal_componentwise" if self.componentwise
+                else "offdiagonal_vector")
+
+    def descriptor(self) -> dict:
+        return {"tag": self.tag, "alpha": str(self.alpha)}
+
+    def scalar(self, j: int, m: int) -> OffdiagonalCase:
+        return OffdiagonalCase(self.alpha / m)
+
+    def input_problem(self, q, r) -> Optional[str]:
+        """Range check on the two given exponent vectors."""
+        if any(qj <= 1 for qj in q) or any(rj <= 1 for rj in r):
+            return "q_j or r_j not in (1, inf)"
+        if not (self.alpha < _recip_sum(q) < self.alpha + 1):
+            return "1/q outside (alpha, alpha+1)"
+        if not (self.alpha < _recip_sum(r) < self.alpha + 1):
+            return "1/r outside (alpha, alpha+1)"
+        return None
+
+    def output_problem(self, p) -> Optional[str]:
+        if any(pj <= 1 for pj in p):
+            return "p_j <= 1"
+        if not (self.alpha < _recip_sum(p) < self.alpha + 1):
+            return "1/p outside (alpha, alpha+1)"
+        return None
+
+    def p_star(self, p) -> Frac:
+        """1/p* = 1/p_1 + ... + 1/p_m - alpha."""
+        return _smoothed(_harmonic(p), self.alpha)
+
+    def class_constant(self, weights, exps: Exponents, family, resolution):
+        return multilinear_offdiag_constant(weights, exps, self.p_star(exps),
+                                            family, resolution)
+
+    def intermediate_weights(self, w, v, r, q, theta) -> tuple[WeightSpec, ...]:
+        return intermediate_weights_offdiagonal(w, v, theta)
+
+    def splits(self, r, q, theta) -> dict:
+        m = len(r)
+        out = {f"component_{j}": holder_split_offdiagonal(r, q, theta, j, m)
+               for j in range(m)}
+        out["coupled"] = holder_split_offdiagonal_nu(r, q, self.alpha, theta, m)
+        return out
+
+    def pairs(self, q, r, p, v, w, u, theta) -> dict:
+        m = len(r)
+        out = {}
+        for j in range(m):
+            Rj, Qj, Pj = conjugate(r[j]), conjugate(q[j]), conjugate(p[j])
+            out[f"component_{j}"] = (
+                WeightClassPair(u[j].pow(-Pj).simplify(), m * Pj),
+                WeightClassPair(w[j].pow(-Rj).simplify(), m * Rj),
+                WeightClassPair(v[j].pow(-Qj).simplify(), m * Qj),
+                (Qj / (Qj - theta * Rj),
+                 theta * r[j] * (q[j] - 1) / (q[j] - theta * r[j])))
+        r_star, q_star, p_star = self.p_star(r), self.p_star(q), self.p_star(p)
+        out["coupled"] = (
+            WeightClassPair(composite_weight(u).pow(p_star).simplify(), m * p_star),
+            WeightClassPair(composite_weight(w).pow(r_star).simplify(), m * r_star),
+            WeightClassPair(composite_weight(v).pow(q_star).simplify(), m * q_star),
+            (p_star / (r_star * (1 - theta)),
+             theta * p_star / (q_star * (1 - theta))))
+        return out
+
+
+Case = Union[DiagonalCase, OffdiagonalCase]
+
+
+def parse_case(d: dict) -> Case:
+    """The case a `descriptor()` describes (the inverse of `descriptor`)."""
+    tag = d.get("tag")
+    if tag in ("diagonal_vector", "diagonal_componentwise"):
+        return DiagonalCase(tuple(d["s"]), tag == "diagonal_componentwise")
+    if tag in ("offdiagonal_vector", "offdiagonal_componentwise"):
+        return OffdiagonalCase(d["alpha"], tag == "offdiagonal_componentwise")
+    raise ValueError(f"unknown case tag {tag!r}")
+
+
 @dataclass(frozen=True)
 class RhiEntry:
     pair: WeightClassPair
@@ -392,7 +538,7 @@ def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
 def convexity_identity_check(theta, p: Sequence, q: Sequence, r: Sequence,
                              u: Sequence[WeightSpec], v: Sequence[WeightSpec],
                              w: Sequence[WeightSpec], case: Case,
-                             samples: Union[int, np.ndarray] = 1000,
+                             samples: int = 1000,
                              family: Optional[CubeFamily] = None,
                              seed: int = 0) -> dict:
     """Residuals of the exponent and weight convexity identities.
@@ -407,11 +553,7 @@ def convexity_identity_check(theta, p: Sequence, q: Sequence, r: Sequence,
     r = tuple(map(as_fraction, r))
     exp_residual = max(abs(Frac(1) / rj - (1 - theta) / pj - theta / qj)
                        for rj, pj, qj in zip(r, p, q))
-    if isinstance(samples, (int, np.integer)):
-        fam = family or CubeFamily(1, 4.0, 0, 0)
-        pts = _sample_points(fam, int(samples), seed)
-    else:
-        pts = np.asarray(samples)
+    pts = _sample_points(family or CubeFamily(1, 4.0, 0, 0), samples, seed)
 
     diagonal = isinstance(case, DiagonalCase)
     w_res = 0.0
@@ -449,85 +591,17 @@ def convexity_identity_check(theta, p: Sequence, q: Sequence, r: Sequence,
     }
 
 
-@dataclass(frozen=True)
-class _RawCheck:
-    label: str
-    split: SplitExponents
-    target: WeightClassPair
-    source_r: WeightClassPair
-    source_q: WeightClassPair
-    bound_exponents: tuple[Frac, Frac]
-
-
-def _diagonal_raw_checks(qvec, rvec, svec, vvec, wvec, uvec, theta):
-    m = len(rvec)
-    s_h = _harmonic(svec)
-    p = intermediate_exponents(rvec, qvec, theta)
-    checks = []
-    for j in range(m):
-        split = holder_split_diagonal(rvec, qvec, svec, theta, j)
-        rt, qt, pt = rvec[j] / svec[j], qvec[j] / svec[j], p[j] / svec[j]
-        mt = svec[j] / s_h
-        Rt, Qt, Pt = conjugate(rt), conjugate(qt), conjugate(pt)
-        checks.append(_RawCheck(
-            f"component_{j}", split,
-            WeightClassPair(uvec[j].pow(1 - Pt).simplify(), mt * Pt),
-            WeightClassPair(wvec[j].pow(1 - Rt).simplify(), mt * Rt),
-            WeightClassPair(vvec[j].pow(1 - Qt).simplify(), mt * Qt),
-            (Qt / (Qt - theta * Rt),
-             theta * rt * (qt - 1) / (qt - theta * rt))))
-    split = holder_split_diagonal_nu(rvec, qvec, svec, theta)
-    r_h, q_h = _harmonic(rvec), _harmonic(qvec)
-    p_h = _harmonic(p)
-    checks.append(_RawCheck(
-        "coupled", split,
-        WeightClassPair(composite_weight(uvec, Exponents(p)), p_h / s_h),
-        WeightClassPair(composite_weight(wvec, Exponents(rvec)), r_h / s_h),
-        WeightClassPair(composite_weight(vvec, Exponents(qvec)), q_h / s_h),
-        (q_h / (q_h - theta * r_h), theta * r_h / (q_h - theta * r_h))))
-    return checks
-
-
-def _offdiagonal_raw_checks(qvec, rvec, alpha, vvec, wvec, uvec, theta):
-    m = len(rvec)
-    p = intermediate_exponents(rvec, qvec, theta)
-    checks = []
-    for j in range(m):
-        split = holder_split_offdiagonal(rvec, qvec, theta, j, m)
-        Rj, Qj, Pj = conjugate(rvec[j]), conjugate(qvec[j]), conjugate(p[j])
-        checks.append(_RawCheck(
-            f"component_{j}", split,
-            WeightClassPair(uvec[j].pow(-Pj).simplify(), m * Pj),
-            WeightClassPair(wvec[j].pow(-Rj).simplify(), m * Rj),
-            WeightClassPair(vvec[j].pow(-Qj).simplify(), m * Qj),
-            (Qj / (Qj - theta * Rj),
-             theta * rvec[j] * (qvec[j] - 1) / (qvec[j] - theta * rvec[j]))))
-    split = holder_split_offdiagonal_nu(rvec, qvec, alpha, theta, m)
-    r_star = _smoothed(_harmonic(rvec), alpha)
-    q_star = _smoothed(_harmonic(qvec), alpha)
-    p_star = _smoothed(_harmonic(p), alpha)
-    checks.append(_RawCheck(
-        "coupled", split,
-        WeightClassPair(composite_weight(uvec).pow(p_star).simplify(), m * p_star),
-        WeightClassPair(composite_weight(wvec).pow(r_star).simplify(), m * r_star),
-        WeightClassPair(composite_weight(vvec).pow(q_star).simplify(), m * q_star),
-        (p_star / (r_star * (1 - theta)),
-         theta * p_star / (q_star * (1 - theta)))))
-    return checks
-
-
-def _run_rhi(raw: _RawCheck, family, c_rhi, resolution):
-    t = float(raw.split.t)
+def _run_rhi(label: str, split: SplitExponents, pairs: tuple, family, c_rhi,
+             resolution) -> SplitCheck:
+    """One check, with the reverse-Holder entries of its two source pairs."""
+    target, source_r, source_q, bound_exponents = pairs
+    t = float(split.t)
     entries = []
-    ok = True
-    for side in (raw.source_r, raw.source_q):
-        for pair in _class_pair_expand(side):
-            passes, ratio = reverse_holder_check(pair.weight, t, c_rhi, family,
-                                                 resolution)
-            entries.append(RhiEntry(pair, t, c_rhi, ratio, passes))
-            ok = ok and passes
-    return SplitCheck(raw.label, raw.split, tuple(entries), raw.target,
-                      raw.source_r, raw.source_q, raw.bound_exponents), ok
+    for pair in (*_class_pair_expand(source_r), *_class_pair_expand(source_q)):
+        passes, ratio = reverse_holder_check(pair.weight, t, c_rhi, family,
+                                             resolution)
+        entries.append(RhiEntry(pair, t, c_rhi, ratio, passes))
+    return SplitCheck(label, split, tuple(entries), *pairs)
 
 
 def _class_pair_expand(pair: WeightClassPair):
@@ -547,14 +621,10 @@ def product_bound_check(certificate: ThetaCertificate, family: CubeFamily,
     """
     bounds = []
     for check in certificate.checks:
-        lhs = muckenhoupt_constant(check.target.weight, check.target.class_exponent,
-                                   family, resolution).value
-        cR = muckenhoupt_constant(check.source_r.weight,
-                                  check.source_r.class_exponent, family,
-                                  resolution).value
-        cQ = muckenhoupt_constant(check.source_q.weight,
-                                  check.source_q.class_exponent, family,
-                                  resolution).value
+        lhs, cR, cQ = (muckenhoupt_constant(pair.weight, pair.class_exponent,
+                                            family, resolution).value
+                       for pair in (check.target, check.source_r,
+                                    check.source_q))
         aR, aQ = check.bound_exponents
         rhs = cR ** float(aR) * cQ ** float(aQ)
         ratio = lhs / rhs if rhs > 0 else math.inf
@@ -563,71 +633,19 @@ def product_bound_check(certificate: ThetaCertificate, family: CubeFamily,
     return tuple(bounds)
 
 
-def _case_descriptor(case: Case) -> dict:
-    d = {"tag": case.tag}
-    if isinstance(case, DiagonalCase):
-        d["s"] = [str(v) for v in case.s]
-    else:
-        d["alpha"] = str(case.alpha)
-    return d
-
-
-def _diag_output_admissible(p: Sequence[Frac], svec: Sequence[Frac]) -> Optional[str]:
-    if any(pj <= sj for pj, sj in zip(p, svec)):
-        return "p_j <= s_j"
-    if _recip_sum(p) >= 1:
-        return "1/p >= 1"
-    return None
-
-
-def _offdiag_output_admissible(p: Sequence[Frac], alpha: Frac) -> Optional[str]:
-    if any(pj <= 1 for pj in p):
-        return "p_j <= 1"
-    if not (alpha < _recip_sum(p) < alpha + 1):
-        return "1/p outside (alpha, alpha+1)"
-    return None
-
-
-def _input_exponent_problem(case: Case, qvec, rvec) -> Optional[str]:
-    """Range check on the two given exponent vectors.
-
-    Harmonic reciprocal sums of the inputs are allowed to touch 1 in the
-    diagonal case (weak inequality); the certified output obeys the strict
-    inequality.
-    """
-    if isinstance(case, DiagonalCase):
-        svec = case.s
-        if any(qj <= sj for qj, sj in zip(qvec, svec)):
-            return "q_j <= s_j"
-        if any(rj <= sj for rj, sj in zip(rvec, svec)):
-            return "r_j <= s_j"
-        if _recip_sum(qvec) > 1 or _recip_sum(rvec) > 1:
-            return "input harmonic reciprocal sum exceeds 1"
-        return None
-    alpha = case.alpha
-    if any(qj <= 1 for qj in qvec) or any(rj <= 1 for rj in rvec):
-        return "q_j or r_j not in (1, inf)"
-    if not (alpha < _recip_sum(qvec) < alpha + 1):
-        return "1/q outside (alpha, alpha+1)"
-    if not (alpha < _recip_sum(rvec) < alpha + 1):
-        return "1/r outside (alpha, alpha+1)"
-    return None
-
-
 def solve_theta(case: Case, qvec: Sequence, rvec: Sequence,
                 vvec: Sequence[WeightSpec], wvec: Sequence[WeightSpec],
                 family: CubeFamily, c_rhi: float = DEFAULT_RHI_CONSTANT,
                 theta_schedule: Sequence[Frac] = DEFAULT_THETA_SCHEDULE,
                 resolution: int = DEFAULT_RESOLUTION,
                 growth_levels: int = 2, stability_threshold: float = 0.01,
-                identity_samples: int = 1000, seed: int = 0,
-                check_hypotheses: bool = True) -> SolveOutcome:
+                identity_samples: int = 1000, seed: int = 0) -> SolveOutcome:
     """Certify the largest schedule parameter passing every check.
 
     The (qvec, vvec) pair is the auxiliary scale, (rvec, wvec) the target;
     the certified intermediate pair (p(theta), u(theta)) satisfies the
-    convexity identities against both.  Componentwise cases delegate to one
-    scalar solve per slot and bundle the scalar certificates.
+    convexity identities against both.  Componentwise cases run one scalar
+    solve per slot and bundle the scalar certificates.
     """
     qvec = tuple(as_fraction(v) for v in qvec)
     rvec = tuple(as_fraction(v) for v in rvec)
@@ -636,8 +654,7 @@ def solve_theta(case: Case, qvec: Sequence, rvec: Sequence,
     m = len(rvec)
     if not (len(qvec) == len(vvec) == len(wvec) == m):
         raise ValueError("vector length mismatch")
-    if isinstance(case, DiagonalCase) and len(case.s) != m:
-        raise ValueError("limited-range parameter length mismatch")
+    problem = case.input_problem(qvec, rvec)
 
     provenance = {
         "c_rhi": c_rhi, "resolution": resolution,
@@ -650,46 +667,40 @@ def solve_theta(case: Case, qvec: Sequence, rvec: Sequence,
         "v": [w.descriptor() for w in vvec],
         "w": [w.descriptor() for w in wvec],
     }
-    case_d = _case_descriptor(case)
+    case_d = case.descriptor()
 
-    problem = _input_exponent_problem(case, qvec, rvec)
+    def failure(blocking_check: str, trail: tuple) -> SolveOutcome:
+        return SolveOutcome(False, None, SolveFailure(case_d, blocking_check,
+                                                      trail, provenance))
+
     if problem:
-        return SolveOutcome(False, None, SolveFailure(
-            case_d, f"hypothesis:exponents:{problem}", (), provenance))
+        return failure(f"hypothesis:exponents:{problem}", ())
 
     if case.componentwise:
-        return _solve_componentwise(case, qvec, rvec, vvec, wvec, family, c_rhi,
-                                    theta_schedule, resolution, growth_levels,
-                                    stability_threshold, identity_samples, seed,
-                                    case_d, provenance)
+        certs = []
+        for j in range(m):
+            outcome = solve_theta(case.scalar(j, m), (qvec[j],), (rvec[j],),
+                                  (vvec[j],), (wvec[j],), family, c_rhi,
+                                  theta_schedule, resolution, growth_levels,
+                                  stability_threshold, identity_samples, seed)
+            if not outcome.success:
+                fail = outcome.failure
+                return failure(f"component_{j}:{fail.blocking_check}", fail.trail)
+            certs.append(outcome.certificate)
+        common = min(c.theta for c in certs)
+        return SolveOutcome(True, ComponentwiseCertificate(
+            case_d, tuple(certs), common, provenance), None)
 
-    diagonal = isinstance(case, DiagonalCase)
-    if diagonal:
-        svec = case.s
-        alpha = None
-    else:
-        svec = None
-        alpha = case.alpha
+    def class_constant(weights, exps):
+        return lambda fam: case.class_constant(weights, Exponents(exps), fam,
+                                               resolution)
 
-    if check_hypotheses:
-        if diagonal:
-            v_fn = lambda fam: multilinear_limited_range_constant(
-                vvec, Exponents(qvec), Exponents(svec), fam, resolution)
-            w_fn = lambda fam: multilinear_limited_range_constant(
-                wvec, Exponents(rvec), Exponents(svec), fam, resolution)
-        else:
-            q_star = _smoothed(_harmonic(qvec), alpha)
-            r_star = _smoothed(_harmonic(rvec), alpha)
-            v_fn = lambda fam: multilinear_offdiag_constant(
-                vvec, Exponents(qvec), q_star, fam, resolution)
-            w_fn = lambda fam: multilinear_offdiag_constant(
-                wvec, Exponents(rvec), r_star, fam, resolution)
-        for side, fn in (("v", v_fn), ("w", w_fn)):
-            rep = membership(fn, family, growth_levels, stability_threshold)
-            if rep.verdict is not Verdict.MEMBER:
-                return SolveOutcome(False, None, SolveFailure(
-                    case_d, f"hypothesis:membership:{side}:{rep.verdict.value}",
-                    (rep.descriptor(),), provenance))
+    for side, weights, exps in (("v", vvec, qvec), ("w", wvec, rvec)):
+        rep = membership(class_constant(weights, exps), family, growth_levels,
+                         stability_threshold)
+        if rep.verdict is not Verdict.MEMBER:
+            return failure(f"hypothesis:membership:{side}:{rep.verdict.value}",
+                           (rep.descriptor(),))
 
     trail = []
     for idx, theta in enumerate(theta_schedule):
@@ -697,37 +708,27 @@ def solve_theta(case: Case, qvec: Sequence, rvec: Sequence,
         step = {"theta": str(theta)}
         try:
             p = intermediate_exponents(rvec, qvec, theta)
-            bad = (_diag_output_admissible(p, svec) if diagonal
-                   else _offdiag_output_admissible(p, alpha))
+            bad = case.output_problem(p)
             if bad:
                 step["failed"] = f"admissibility:{bad}"
                 trail.append(step)
                 continue
-            if diagonal:
-                uvec = intermediate_weights_diagonal(wvec, vvec, rvec, qvec, theta)
-                raw_checks = _diagonal_raw_checks(qvec, rvec, svec, vvec, wvec,
-                                                  uvec, theta)
-                p_star = None
-            else:
-                uvec = intermediate_weights_offdiagonal(wvec, vvec, theta)
-                raw_checks = _offdiagonal_raw_checks(qvec, rvec, alpha, vvec,
-                                                     wvec, uvec, theta)
-                p_star = _smoothed(_harmonic(p), alpha)
+            uvec = case.intermediate_weights(wvec, vvec, rvec, qvec, theta)
+            splits = case.splits(rvec, qvec, theta)
+            pairs = case.pairs(qvec, rvec, p, vvec, wvec, uvec, theta)
         except DegenerateParameterError as exc:
             step["failed"] = f"degenerate:{exc}"
             trail.append(step)
             continue
 
         checks = []
-        rhi_ok = True
-        for raw in raw_checks:
-            check, ok = _run_rhi(raw, family, c_rhi, resolution)
-            checks.append(check)
-            if not ok:
-                rhi_ok = False
-                step["failed"] = f"rhi:{raw.label}"
+        for label, split in splits.items():
+            checks.append(_run_rhi(label, split, pairs[label], family, c_rhi,
+                                   resolution))
+            if not all(entry.passes for entry in checks[-1].rhi):
+                step["failed"] = f"rhi:{label}"
                 break
-        if not rhi_ok:
+        if "failed" in step:
             trail.append(step)
             continue
 
@@ -741,30 +742,22 @@ def solve_theta(case: Case, qvec: Sequence, rvec: Sequence,
             trail.append(step)
             continue
 
-        if diagonal:
-            u_fn = lambda fam: multilinear_limited_range_constant(
-                uvec, Exponents(p), Exponents(svec), fam, resolution)
-        else:
-            u_fn = lambda fam: multilinear_offdiag_constant(
-                uvec, Exponents(p), p_star, fam, resolution)
-        u_rep = membership(u_fn, family, growth_levels, stability_threshold)
+        u_rep = membership(class_constant(uvec, p), family, growth_levels,
+                           stability_threshold)
         if u_rep.verdict is not Verdict.MEMBER:
             step["failed"] = f"u_membership:{u_rep.verdict.value}"
             trail.append(step)
             continue
 
-        cert = ThetaCertificate(case_d, theta, idx, p, _harmonic(p), p_star,
-                                uvec, tuple(checks), residuals, u_rep, (),
-                                provenance)
-        bounds = product_bound_check(cert, family, resolution)
-        cert = ThetaCertificate(case_d, theta, idx, p, _harmonic(p), p_star,
-                                uvec, tuple(checks), residuals, u_rep, bounds,
-                                provenance)
+        cert = ThetaCertificate(case_d, theta, idx, p, _harmonic(p),
+                                case.p_star(p), uvec, tuple(checks), residuals,
+                                u_rep, (), provenance)
+        cert = replace(cert, product_bounds=product_bound_check(cert, family,
+                                                                resolution))
         return SolveOutcome(True, cert, None)
 
     last = trail[-1].get("failed", "") if trail else "empty schedule"
-    return SolveOutcome(False, None, SolveFailure(
-        case_d, f"exhausted_schedule:{last}", tuple(trail), provenance))
+    return failure(f"exhausted_schedule:{last}", tuple(trail))
 
 
 def recheck_certificate_json(doc: dict) -> list[str]:
@@ -780,45 +773,43 @@ def recheck_certificate_json(doc: dict) -> list[str]:
                          recheck_certificate_json(comp)]
         return problems
     try:
+        case = parse_case(doc["case"])
         theta = Frac(doc["theta"])
         q = tuple(Frac(v) for v in doc["provenance"]["q"])
         r = tuple(Frac(v) for v in doc["provenance"]["r"])
         p = tuple(Frac(v) for v in doc["p"])
-    except (KeyError, ValueError) as exc:
+        p_harmonic = Frac(doc["p_harmonic"])
+        p_star = None if doc["p_star"] is None else Frac(doc["p_star"])
+        checks = doc["checks"]
+        labels = [check["label"] for check in checks]
+        bad_input = case.input_problem(q, r)
+    except (KeyError, TypeError, ValueError) as exc:
         return [f"unparseable: {exc}"]
+    if bad_input:
+        problems.append(f"input exponents: {bad_input}")
     if not (0 < theta < 1):
         problems.append("theta outside (0, 1)")
     try:
         expected_p = intermediate_exponents(r, q, theta)
-    except DegenerateParameterError as exc:
+        splits = case.splits(r, q, theta)
+        expected_star = case.p_star(expected_p)
+    except ValueError as exc:
         return problems + [f"exponents degenerate: {exc}"]
     if expected_p != p:
         problems.append("intermediate exponents do not re-derive")
     for rj, pj, qj in zip(r, p, q):
         if Frac(1) / rj != (1 - theta) / pj + theta / qj:
             problems.append("convexity identity fails")
-    if Frac(doc["p_harmonic"]) != _harmonic(p):
+    if p_harmonic != _harmonic(p):
         problems.append("harmonic sum mismatch")
+    if p_star != expected_star:
+        problems.append("p_star does not re-derive")
+    if labels != list(splits):
+        return problems + [f"checks {labels} are not {list(splits)}"]
 
-    tag = doc["case"]["tag"]
-    m = len(r)
-    for check in doc["checks"]:
+    for check in checks:
         label = check["label"]
-        if tag == "diagonal_vector":
-            s = tuple(Frac(v) for v in doc["case"]["s"])
-            if label == "coupled":
-                split = holder_split_diagonal_nu(r, q, s, theta)
-            else:
-                split = holder_split_diagonal(r, q, s, theta,
-                                              int(label.split("_")[1]))
-        else:
-            alpha = Frac(doc["case"]["alpha"])
-            if label == "coupled":
-                split = holder_split_offdiagonal_nu(r, q, alpha, theta, m)
-            else:
-                split = holder_split_offdiagonal(r, q, theta,
-                                                 int(label.split("_")[1]), m)
-        if split.descriptor() != check["split"]:
+        if splits[label].descriptor() != check["split"]:
             problems.append(f"split data for {label} does not re-derive")
         if Frac(check["split"]["rho"]) != Frac(check["split"]["sigma"]):
             problems.append(f"rho != sigma in {label}")
@@ -827,30 +818,3 @@ def recheck_certificate_json(doc: dict) -> list[str]:
         if not all(entry["passes"] for entry in check["rhi"]):
             problems.append(f"reverse-Holder entry failed in {label}")
     return problems
-
-
-def _solve_componentwise(case, qvec, rvec, vvec, wvec, family, c_rhi,
-                         theta_schedule, resolution, growth_levels,
-                         stability_threshold, identity_samples, seed,
-                         case_d, provenance) -> SolveOutcome:
-    """Run one scalar solve per component and bundle the certificates."""
-    m = len(rvec)
-    certs = []
-    for j in range(m):
-        if isinstance(case, DiagonalCase):
-            scalar_case: Case = DiagonalCase((case.s[j],))
-        else:
-            scalar_case = OffdiagonalCase(case.alpha / m)
-        outcome = solve_theta(scalar_case, (qvec[j],), (rvec[j],), (vvec[j],),
-                              (wvec[j],), family, c_rhi, theta_schedule,
-                              resolution, growth_levels, stability_threshold,
-                              identity_samples, seed)
-        if not outcome.success:
-            fail = outcome.failure
-            return SolveOutcome(False, None, SolveFailure(
-                case_d, f"component_{j}:{fail.blocking_check}", fail.trail,
-                provenance))
-        certs.append(outcome.certificate)
-    common = min(c.theta for c in certs)
-    return SolveOutcome(True, ComponentwiseCertificate(
-        case_d, tuple(certs), common, provenance), None)

@@ -99,6 +99,17 @@ class TestValidation:
                                            "s": ["1"]}}),
         ("unit-weight-ap", {"class": {"kind": "multilinear", "p": ["2", "2"]},
                             "weights": [{"type": "constant", "value": 1.0}]}),
+        # solver and membership settings without a meaning below 1: no
+        # growth makes every finite constant a member, C < 1 fails every
+        # weight, and an empty schedule or sample set certifies nothing
+        ("diagonal-certificate", {"growth_levels": 0}),
+        ("diagonal-certificate", {"growth_levels": -1}),
+        ("diagonal-certificate", {"schedule_depth": 0}),
+        ("diagonal-certificate", {"identity_samples": 0}),
+        ("diagonal-certificate", {"c_rhi": 0.5}),
+        # the off-diagonal class needs 1/m < p <= p_star (harmonic p)
+        ("characterize-offdiagonal", {"p_star": "1/2"}),
+        ("characterize-offdiagonal", {"p": ["1", "1"], "p_star": "1"}),
     ])
     def test_meaningless_input_rejected(self, preset, changes):
         cfg = preset_config(preset)

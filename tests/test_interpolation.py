@@ -1,6 +1,7 @@
 """Interpolation solver tests: exact exponent algebra, Holder splits,
 end-to-end certificates, and product bounds."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from wextrap.interpolation import (DegenerateParameterError,
                                    intermediate_exponents,
                                    intermediate_weights_diagonal,
                                    intermediate_weights_offdiagonal,
-                                   product_bound_check, solve_theta,
+                                   parse_case, product_bound_check,
+                                   recheck_certificate_json, solve_theta,
                                    split_exponents)
 from wextrap.serialization import canonical_json
 
@@ -358,3 +360,65 @@ class TestProductBounds:
         for b in bounds:
             assert math.isfinite(b.ratio)
             assert b.ratio > 0
+
+
+@pytest.fixture(scope="module")
+def certificates():
+    """One diagonal and one off-diagonal vector certificate (case, outcome)."""
+    w = (power(F(1, 5)), power(F(1, 5)))
+    out = {}
+    for name, case, q, r in (
+            ("diagonal", DiagonalCase((F(1), F(1))), (2, 2), (3, 3)),
+            ("offdiagonal", OffdiagonalCase(F(1, 4)), (2, 2), (4, 4))):
+        outcome = solve_theta(case, q, r, w, w, family(4), resolution=32)
+        assert outcome.success
+        out[name] = case, outcome
+    return out
+
+
+class TestCaseAlgebra:
+    @pytest.mark.parametrize("case", [
+        DiagonalCase((F(1), F(3, 2))),
+        DiagonalCase((F(1), F(3, 2)), componentwise=True),
+        OffdiagonalCase(F(1, 4)),
+        OffdiagonalCase(F(1, 4), componentwise=True)])
+    def test_parse_case_inverts_descriptor(self, case):
+        assert parse_case(case.descriptor()) == case
+
+    def test_unknown_tag_rejected(self):
+        with pytest.raises(ValueError, match="unknown case tag"):
+            parse_case({"tag": "nonsense", "s": ["1"]})
+
+    @pytest.mark.parametrize("name", ["diagonal", "offdiagonal"])
+    def test_split_labels_are_certificate_checks(self, certificates, name):
+        case, outcome = certificates[name]
+        cert = outcome.certificate
+        r = tuple(F(v) for v in cert.provenance["r"])
+        q = tuple(F(v) for v in cert.provenance["q"])
+        splits = case.splits(r, q, cert.theta)
+        assert list(splits) == [c.label for c in cert.checks]
+        assert [splits[c.label] for c in cert.checks] \
+            == [c.split for c in cert.checks]
+
+    @pytest.mark.parametrize("name", ["diagonal", "offdiagonal"])
+    def test_recheck_refuses_tampered_certificate(self, certificates, name):
+        doc = certificates[name][1].certificate.to_json_dict()
+        assert recheck_certificate_json(doc) == []
+
+        def tampered(**changes):
+            bad = json.loads(json.dumps(doc))
+            bad.update(changes)
+            return bad
+
+        forgeries = [
+            tampered(checks=[]),
+            tampered(checks=[c for c in doc["checks"]
+                             if c["label"] == "coupled"]),
+            tampered(checks=doc["checks"][::-1]),
+            tampered(checks=[{**doc["checks"][0], "label": "component_x"}]
+                     + doc["checks"][1:]),
+            tampered(case={**doc["case"], "tag": "mystery"}),
+            tampered(p_star="7"),
+        ]
+        for bad in forgeries:
+            assert recheck_certificate_json(bad) != []
