@@ -464,15 +464,18 @@ def _class_constant(kind: str, args: tuple, resolution: int) -> Callable:
 def _run_weight_constant(cfg: dict, kind, args, family, with_membership,
                          resolution, growth_levels, threshold):
     fn = _class_constant(kind, args, resolution)
-    constant = fn(family)
+    # The membership report carries the base family's value, tag and family,
+    # so a verdict costs one grown-family pass and no separate base pass.
+    if with_membership:
+        rep = membership(fn, family, growth_levels, threshold)
+    else:
+        rep = fn(family)
     prov = _provenance(cfg, resolution=resolution, growth_levels=growth_levels,
                        threshold=threshold, membership=with_membership)
-    out = {"experiment": "weight-constant", "value": constant.value,
-           "tag": constant.tag, "family": constant.family,
-           "provenance": prov}
+    out = {"experiment": "weight-constant", "value": rep.value,
+           "tag": rep.tag, "family": rep.family, "provenance": prov}
     if not with_membership:
         return EXIT_OK, out, None
-    rep = membership(fn, family, growth_levels, threshold)
     out["membership"] = rep.descriptor()
     inconclusive = rep.verdict is Verdict.INCONCLUSIVE
     return (EXIT_INCONCLUSIVE if inconclusive else EXIT_OK), out, None

@@ -20,7 +20,12 @@ import numpy as np
 # DIVERGENCE_RATIO.  Power singularities |x|^a with a <= -1 grow by a factor
 # 8^(-1-a) over the chain, and the logarithmic borderline case grows by
 # 1 + 3 log(2)/(log M + c), so both clear 1.3 at the resolutions this
-# laboratory runs at, while integrable singularities settle well below it.
+# laboratory runs at.  Integrable singularities do not always stay below it:
+# for exponents near -1 the midpoint means converge as slowly as O(h^(1+a)),
+# and off the nodes they keep growing through every doubling.  The means of
+# |x - 0.37|^(-5/6) grow 1.139 -> 1.474 (64 -> 512 nodes) on [-4, 4], exact
+# value 1.889, and 1.804 -> 2.497 on [0, 4], exact value 3.130, where the
+# ratio 1.38 flags an integrable weight as +inf (ROADMAP.md, item 1).
 # Cubes whose per-doubling growth drops below GROWTH_FLOOR leave the chain
 # early (their limit exists).
 DIVERGENCE_RATIO = 1.3
@@ -28,6 +33,13 @@ DIVERGENCE_DOUBLINGS = 3
 GROWTH_FLOOR = 1.02
 
 DEFAULT_RESOLUTION = 128
+
+# Largest cube batch a per-layer reduction sees, in base-resolution nodes, so
+# that the node arrays of a batch and of its doublings stay small.  Smaller
+# slices are no faster on deep families, and with them glibc's malloc hands
+# each slice's freed arrays back to the system, so every slice page-faults
+# its memory afresh.
+_BATCH_NODES = 2 ** 16
 
 
 class EvaluationError(ValueError):
@@ -240,12 +252,16 @@ def _check_resolution(resolution: int) -> None:
 
 
 def _per_layer(family: CubeFamily, resolution: int, reduce: Callable) -> np.ndarray:
-    """Concatenate reduce(centers, side, transform) over the family's layers;
-    transform is the family's periodic node wrap."""
+    """Concatenate reduce(centers, side, transform) over the family's layers,
+    in slices of at most _BATCH_NODES base nodes; transform is the family's
+    periodic node wrap.  Every reduction works per cube, so the slicing does
+    not change a bit."""
     _check_resolution(resolution)
     transform = family.node_transform()
-    return np.concatenate([reduce(centers, side, transform)
-                           for _, _, centers, side in family.batches()])
+    step = max(1, _BATCH_NODES // resolution ** family.dim)
+    return np.concatenate([reduce(centers[i:i + step], side, transform)
+                           for _, _, centers, side in family.batches()
+                           for i in range(0, len(centers), step)])
 
 
 def average(fn: Callable, cube: Cube, resolution: int,

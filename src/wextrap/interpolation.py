@@ -764,27 +764,56 @@ def recheck_certificate_json(doc: dict) -> list[str]:
     """Re-derive a serialized certificate's rational data and compare.
 
     Returns a list of discrepancies; an empty list means the certificate
-    revalidates.  Componentwise bundles are rechecked per component.
+    revalidates.  A componentwise bundle is rechecked component by component
+    and against its own case, exponents and common theta.  A document that
+    cannot be rebuilt is reported as unparseable, never raised.
     """
-    problems: list[str] = []
-    if "components" in doc:
-        for k, comp in enumerate(doc["components"]):
-            problems += [f"component_{k}: {p}" for p in
-                         recheck_certificate_json(comp)]
-        return problems
     try:
-        case = parse_case(doc["case"])
-        theta = Frac(doc["theta"])
-        q = tuple(Frac(v) for v in doc["provenance"]["q"])
-        r = tuple(Frac(v) for v in doc["provenance"]["r"])
-        p = tuple(Frac(v) for v in doc["p"])
-        p_harmonic = Frac(doc["p_harmonic"])
-        p_star = None if doc["p_star"] is None else Frac(doc["p_star"])
-        checks = doc["checks"]
-        labels = [check["label"] for check in checks]
-        bad_input = case.input_problem(q, r)
-    except (KeyError, TypeError, ValueError) as exc:
-        return [f"unparseable: {exc}"]
+        if "components" in doc:
+            return _recheck_bundle(doc)
+        return _recheck_theta(doc)
+    except (ArithmeticError, AttributeError, LookupError, TypeError,
+            ValueError) as exc:
+        return [f"unparseable: {type(exc).__name__}: {exc}"]
+
+
+def _exponent_vectors(doc: dict) -> tuple[tuple[Frac, ...], tuple[Frac, ...]]:
+    prov = doc["provenance"]
+    return (tuple(Frac(v) for v in prov["q"]),
+            tuple(Frac(v) for v in prov["r"]))
+
+
+def _recheck_bundle(doc: dict) -> list[str]:
+    case = parse_case(doc["case"])
+    q, r = _exponent_vectors(doc)
+    comps = doc["components"]
+    if not case.componentwise:
+        return [f"case {case.tag} has no components"]
+    if not (len(comps) == len(q) == len(r)):
+        return [f"{len(comps)} components for {len(q)} q and {len(r)} r entries"]
+    problems: list[str] = []
+    for k, comp in enumerate(comps):
+        if comp["case"] != case.scalar(k, len(comps)).descriptor():
+            problems.append(f"component_{k}: case is not slot {k} of the bundle's")
+        if _exponent_vectors(comp) != ((q[k],), (r[k],)):
+            problems.append(f"component_{k}: q/r are not the bundle's entry {k}")
+        problems += [f"component_{k}: {p}" for p in recheck_certificate_json(comp)]
+    if Frac(doc["common_theta"]) != min(Frac(c["theta"]) for c in comps):
+        problems.append("common_theta is not the components' minimum")
+    return problems
+
+
+def _recheck_theta(doc: dict) -> list[str]:
+    case = parse_case(doc["case"])
+    theta = Frac(doc["theta"])
+    q, r = _exponent_vectors(doc)
+    p = tuple(Frac(v) for v in doc["p"])
+    p_harmonic = Frac(doc["p_harmonic"])
+    p_star = None if doc["p_star"] is None else Frac(doc["p_star"])
+    checks = doc["checks"]
+    labels = [check["label"] for check in checks]
+    problems: list[str] = []
+    bad_input = case.input_problem(q, r)
     if bad_input:
         problems.append(f"input exponents: {bad_input}")
     if not (0 < theta < 1):

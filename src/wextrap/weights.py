@@ -14,7 +14,7 @@ that grows by less than `threshold` when the family gains two levels).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -53,8 +53,11 @@ def _norm(x: np.ndarray, center) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return np.abs(x - float(center[0] if not np.isscalar(center) else center))
-    c = np.asarray(center, dtype=float)
-    return np.sqrt(np.sum((x - c[None, :]) ** 2, axis=-1))
+    d0 = x[..., 0] - float(center[0])
+    d1 = x[..., 1] - float(center[1])
+    # Bit-identical to sqrt(sum(d ** 2, axis=-1)), without numpy's slow
+    # reduction over an axis of length 2.
+    return np.sqrt(d0 * d0 + d1 * d1)
 
 
 class WeightSpec:
@@ -319,12 +322,17 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class ClassConstant:
-    """A family-relative lower bound for a class constant, never a supremum."""
+    """A family-relative lower bound for a class constant, never a supremum.
+
+    `quantities` holds the per-cube values it maximises, in the family's
+    `batches()` order; they are not part of the descriptor.
+    """
 
     value: float
     tag: str
     family: dict
     resolution: int
+    quantities: np.ndarray = field(compare=False, repr=False)
 
     def descriptor(self) -> dict:
         return {"value": self.value, "tag": self.tag, "family": self.family,
@@ -353,6 +361,12 @@ def _max_or_inf(quantities: np.ndarray) -> float:
     if np.isnan(quantities).any():
         raise FloatingPointError("class constant produced NaN per-cube values")
     return float(np.max(quantities))
+
+
+def _constant(quantities: np.ndarray, tag: str, family: CubeFamily,
+              resolution: int) -> ClassConstant:
+    return ClassConstant(_max_or_inf(quantities), tag, family.descriptor(),
+                         resolution, quantities)
 
 
 def _coupled_quantities(nu: WeightSpec, a, slots, family: CubeFamily,
@@ -395,8 +409,7 @@ def muckenhoupt_constant(w: WeightSpec, p: ExponentLike, family: CubeFamily,
                          resolution: int = DEFAULT_RESOLUTION,
                          divergence_ratio: float = DIVERGENCE_RATIO) -> ClassConstant:
     q = muckenhoupt_quantities(w, p, family, resolution, divergence_ratio)
-    return ClassConstant(_max_or_inf(q), f"Ap({as_fraction(p)})",
-                         family.descriptor(), resolution)
+    return _constant(q, f"Ap({as_fraction(p)})", family, resolution)
 
 
 def muckenhoupt_pq_constant(w: WeightSpec, p: ExponentLike, q: ExponentLike,
@@ -410,8 +423,7 @@ def muckenhoupt_pq_constant(w: WeightSpec, p: ExponentLike, q: ExponentLike,
     pc = conjugate(p)
     vals = _coupled_quantities(w.pow(q), 1 / q, [(w, -pc, 1 / pc)], family,
                                resolution, divergence_ratio)
-    return ClassConstant(_max_or_inf(vals), f"Apq({p},{q})",
-                         family.descriptor(), resolution)
+    return _constant(vals, f"Apq({p},{q})", family, resolution)
 
 
 def multilinear_quantities(wvec: Sequence[WeightSpec], pvec: Exponents,
@@ -432,8 +444,7 @@ def multilinear_constant(wvec: Sequence[WeightSpec], pvec: Exponents,
                          resolution: int = DEFAULT_RESOLUTION,
                          divergence_ratio: float = DIVERGENCE_RATIO) -> ClassConstant:
     q = multilinear_quantities(wvec, pvec, family, resolution, divergence_ratio)
-    return ClassConstant(_max_or_inf(q), f"MultAp({pvec.descriptor()})",
-                         family.descriptor(), resolution)
+    return _constant(q, f"MultAp({pvec.descriptor()})", family, resolution)
 
 
 def multilinear_limited_range_quantities(wvec: Sequence[WeightSpec],
@@ -465,7 +476,7 @@ def multilinear_limited_range_constant(wvec: Sequence[WeightSpec],
     q = multilinear_limited_range_quantities(wvec, pvec, svec, family,
                                              resolution, divergence_ratio)
     tag = f"MultApS({pvec.descriptor()},{svec.descriptor()})"
-    return ClassConstant(_max_or_inf(q), tag, family.descriptor(), resolution)
+    return _constant(q, tag, family, resolution)
 
 
 def multilinear_offdiag_quantities(wvec: Sequence[WeightSpec], pvec: Exponents,
@@ -493,7 +504,7 @@ def multilinear_offdiag_constant(wvec: Sequence[WeightSpec], pvec: Exponents,
     q = multilinear_offdiag_quantities(wvec, pvec, p_star, family, resolution,
                                        divergence_ratio)
     tag = f"MultApQ({pvec.descriptor()},{as_fraction(p_star)})"
-    return ClassConstant(_max_or_inf(q), tag, family.descriptor(), resolution)
+    return _constant(q, tag, family, resolution)
 
 
 def bmo_quantities(b: Callable, family: CubeFamily,
@@ -505,7 +516,7 @@ def bmo_quantities(b: Callable, family: CubeFamily,
 def bmo_norm(b: Callable, family: CubeFamily,
              resolution: int = DEFAULT_RESOLUTION) -> ClassConstant:
     q = bmo_quantities(b, family, resolution)
-    return ClassConstant(_max_or_inf(q), "BMO", family.descriptor(), resolution)
+    return _constant(q, "BMO", family, resolution)
 
 
 def membership(constant_fn: Callable[[CubeFamily], ClassConstant],
@@ -516,14 +527,18 @@ def membership(constant_fn: Callable[[CubeFamily], ClassConstant],
     A finite value that grows by less than `threshold` when the family gains
     `growth_levels` levels reads as membership; +inf anywhere reads as
     non-membership; finite but unstable values are inconclusive.
+
+    constant_fn runs once, on the grown family.  Per-cube quantities do not
+    depend on max_level and `batches()` is level-major, so the base family's
+    quantities are the first len(family) of the grown family's.
     """
-    base = constant_fn(family)
     grown = constant_fn(family.grown(growth_levels))
-    if math.isinf(base.value) or math.isinf(grown.value):
+    value = _max_or_inf(grown.quantities[:len(family)])
+    if math.isinf(grown.value):
         verdict = Verdict.NON_MEMBER
         growth = math.inf
     else:
-        growth = grown.value / base.value - 1.0 if base.value > 0 else 0.0
+        growth = grown.value / value - 1.0 if value > 0 else 0.0
         verdict = Verdict.MEMBER if growth < threshold else Verdict.INCONCLUSIVE
-    return MembershipReport(verdict, base.value, grown.value, growth, base.tag,
+    return MembershipReport(verdict, value, grown.value, growth, grown.tag,
                             family.descriptor(), growth_levels, threshold)

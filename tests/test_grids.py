@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from wextrap import grids
 from wextrap.grids import (Cube, CubeFamily, EvaluationError, Grid,
                            GridFunction, average, build_cube_family,
                            family_averages, family_extrema, weighted_lp_norm)
-from wextrap.weights import bmo_quantities
+from wextrap.weights import PowerWeight, bmo_quantities
 
 
 class TestCubeFamily:
@@ -142,6 +143,34 @@ class TestAverage:
                               [v.max() for v in per_cube])
         assert np.array_equal(bmo_quantities(fn, fam, 8),
                               [np.abs(v - v.mean()).mean() for v in per_cube])
+
+
+class TestLayerSlices:
+    @pytest.mark.parametrize("fam, resolution", [
+        (CubeFamily(1, 4.0, 0, 6, shifts=(0.0, 0.25)), 16),
+        (CubeFamily(2, 2.0, 0, 3), 8)], ids=["1d-shifted", "2d"])
+    def test_slices_do_not_move_a_bit(self, monkeypatch, fam, resolution):
+        # Exponent -d diverges at the origin, so cubes next to it run the
+        # whole doubling chain and others leave it early; -d/2 converges.
+        d = fam.dim
+        fns = [PowerWeight((0.0,) * d, a) for a in (-d, -d / 2)]
+
+        def reductions():
+            out = []
+            for fn in fns:
+                out += [family_averages(fam, fn, resolution),
+                        family_extrema(fam, fn, resolution, mode="min"),
+                        family_extrema(fam, fn, resolution, mode="max"),
+                        grids.family_oscillations(fam, fn, resolution)]
+            return out
+
+        monkeypatch.setattr(grids, "_BATCH_NODES", 2 ** 40)
+        whole = reductions()
+        monkeypatch.setattr(grids, "_BATCH_NODES", 3 * resolution ** d)
+        sliced = reductions()
+        assert np.isinf(whole[0]).any() and np.isfinite(whole[0]).any()
+        for a, b in zip(whole, sliced):
+            assert np.array_equal(a, b)
 
 
 class TestWeightedNorm:

@@ -364,12 +364,17 @@ class TestProductBounds:
 
 @pytest.fixture(scope="module")
 def certificates():
-    """One diagonal and one off-diagonal vector certificate (case, outcome)."""
+    """Diagonal and off-diagonal certificates, vector and componentwise
+    (case, outcome)."""
     w = (power(F(1, 5)), power(F(1, 5)))
     out = {}
     for name, case, q, r in (
             ("diagonal", DiagonalCase((F(1), F(1))), (2, 2), (3, 3)),
-            ("offdiagonal", OffdiagonalCase(F(1, 4)), (2, 2), (4, 4))):
+            ("offdiagonal", OffdiagonalCase(F(1, 4)), (2, 2), (4, 4)),
+            ("diagonal_componentwise",
+             DiagonalCase((F(1), F(1)), componentwise=True), (2, 2), (3, 3)),
+            ("offdiagonal_componentwise",
+             OffdiagonalCase(F(1, 4), componentwise=True), (2, 2), (4, 4))):
         outcome = solve_theta(case, q, r, w, w, family(4), resolution=32)
         assert outcome.success
         out[name] = case, outcome
@@ -400,7 +405,9 @@ class TestCaseAlgebra:
         assert [splits[c.label] for c in cert.checks] \
             == [c.split for c in cert.checks]
 
-    @pytest.mark.parametrize("name", ["diagonal", "offdiagonal"])
+    @pytest.mark.parametrize("name", ["diagonal", "offdiagonal",
+                                      "diagonal_componentwise",
+                                      "offdiagonal_componentwise"])
     def test_recheck_refuses_tampered_certificate(self, certificates, name):
         doc = certificates[name][1].certificate.to_json_dict()
         assert recheck_certificate_json(doc) == []
@@ -410,15 +417,42 @@ class TestCaseAlgebra:
             bad.update(changes)
             return bad
 
-        forgeries = [
-            tampered(checks=[]),
-            tampered(checks=[c for c in doc["checks"]
-                             if c["label"] == "coupled"]),
-            tampered(checks=doc["checks"][::-1]),
-            tampered(checks=[{**doc["checks"][0], "label": "component_x"}]
-                     + doc["checks"][1:]),
-            tampered(case={**doc["case"], "tag": "mystery"}),
-            tampered(p_star="7"),
-        ]
+        if "components" in doc:
+            other = ({"tag": "offdiagonal_componentwise", "alpha": "0"}
+                     if name.startswith("diagonal")
+                     else {"tag": "diagonal_componentwise", "s": ["1", "1"]})
+            q = doc["provenance"]["q"]
+            forgeries = [
+                tampered(components=doc["components"][:1]),
+                tampered(common_theta=str(F(doc["common_theta"]) * 2)),
+                tampered(case=other),
+                tampered(case={**doc["case"], "tag": other["tag"]}),
+                tampered(provenance={**doc["provenance"],
+                                     "q": [q[0], str(F(q[1]) + 1)]}),
+            ]
+        else:
+            forgeries = [
+                tampered(checks=[]),
+                tampered(checks=[c for c in doc["checks"]
+                                 if c["label"] == "coupled"]),
+                tampered(checks=doc["checks"][::-1]),
+                tampered(checks=[{**doc["checks"][0], "label": "component_x"}]
+                         + doc["checks"][1:]),
+                tampered(case={**doc["case"], "tag": "mystery"}),
+                tampered(p_star="7"),
+            ]
         for bad in forgeries:
             assert recheck_certificate_json(bad) != []
+
+    @pytest.mark.parametrize("name", ["diagonal", "offdiagonal"])
+    @pytest.mark.parametrize("forge", ["zero_exponent", "check_without_split"])
+    def test_recheck_reports_malformed_certificate(self, certificates, name,
+                                                   forge):
+        bad = json.loads(json.dumps(
+            certificates[name][1].certificate.to_json_dict()))
+        if forge == "zero_exponent":
+            bad["p"] = ["0", "3"]
+        else:
+            del bad["checks"][0]["split"]
+        problems = recheck_certificate_json(bad)
+        assert len(problems) == 1 and problems[0].startswith("unparseable: ")

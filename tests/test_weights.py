@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import wextrap as wx
-from wextrap.weights import (bmo_quantities, multilinear_limited_range_quantities,
+from wextrap.weights import (_norm, bmo_quantities,
+                             multilinear_limited_range_quantities,
                              multilinear_quantities)
 
 F = Fraction
@@ -322,6 +323,19 @@ class TestTwoDimensional:
         assert k.value == math.inf
 
 
+class TestPlanarNorm:
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.37, -1.29)])
+    def test_matches_sum_of_squares(self, center):
+        c = np.asarray(center)
+        rng = np.random.default_rng(5)
+        on_axes = [center, (c[0], 2.5), (-3.0, c[1]), (c[0] + 1e-9, c[1]),
+                   (0.0, 0.0), (4.0, -4.0)]
+        x = np.concatenate([rng.uniform(-4.0, 4.0, (4096, 2)), on_axes,
+                            wx.Cube(center, 0.5).nodes(16)])
+        old = np.sqrt(np.sum((x - c[None, :]) ** 2, axis=-1))
+        assert np.array_equal(_norm(x, center), old)
+
+
 class TestMembership:
     def test_infinite_value_is_non_member(self):
         rep = wx.membership(
@@ -334,3 +348,26 @@ class TestMembership:
             family(8))
         assert rep.verdict is wx.Verdict.MEMBER
         assert rep.growth < 0.01
+
+    @pytest.mark.parametrize("fam, w", [
+        (family(6), power(F(1, 2))),
+        (family(6, shifts=(0.0, 0.25)), wx.PowerWeight((0.37,), F(-1, 2))),
+        (wx.build_cube_family(2, 2.0, 0, 2),
+         wx.PowerWeight((0.3, -0.7), F(1, 2))),
+        (family(5), power(2)),
+    ], ids=["plain", "shifted", "planar", "divergent"])
+    def test_one_grown_pass_gives_the_base_constant(self, fam, w):
+        calls = []
+
+        def constant_fn(f):
+            calls.append(f)
+            return wx.muckenhoupt_constant(w, 2, f, 16)
+
+        rep = wx.membership(constant_fn, fam)
+        base = wx.muckenhoupt_constant(w, 2, fam, 16)
+        assert calls == [fam.grown(2)]
+        assert rep.value == base.value
+        assert rep.grown_value == wx.muckenhoupt_constant(
+            w, 2, fam.grown(2), 16).value
+        assert (rep.tag, rep.family) == (base.tag, base.family)
+        assert math.isinf(rep.value) == (w == power(2))
