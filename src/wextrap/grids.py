@@ -5,6 +5,14 @@ quantities over a finite cube family, so the reported values are always
 lower bounds for the suprema they stand in for.  Averages carry a
 refinement-doubling divergence check that promotes non-integrable
 singularities to +inf.
+
+Under the midpoint rule the k-th doubling of a cube's average is the mean of
+the base-resolution means of its 2^(dk) sub-cubes one level k further down,
+so the divergence chain is sub-cube base quadrature: `family_averages` first
+takes every layer's base means, then runs each layer's chain.  An unshifted
+layer reads its sub-cubes' means off the family's own level+k layer where the
+family holds it; every other chain evaluates only its suspect cubes'
+sub-cubes.  Either way a cube's value depends on that cube alone.
 """
 
 from __future__ import annotations
@@ -96,9 +104,10 @@ class CubeFamily:
     """Finite dyadic family over [-L, L]^d, optionally with shifted layers.
 
     Level k tiles the domain with 2^k cubes per axis of sidelength 2L/2^k.
-    Shifts are fractions of the sidelength and act periodically: each shifted
-    layer keeps the full cube count of its level, and quadrature nodes of a
-    cube poking past the boundary wrap back into the domain.
+    Shifts are distinct fractions of the sidelength in [0, 1) and act
+    periodically: each shifted layer keeps the full cube count of its level,
+    and quadrature nodes of a cube poking past the boundary wrap back into
+    the domain.
     """
 
     dim: int
@@ -117,6 +126,11 @@ class CubeFamily:
             raise ValueError("need 0 <= min_level <= max_level")
         if not self.shifts:
             raise ValueError("shift set must be nonempty")
+        # A shift outside [0, 1) or a repeated one lays the same cubes again.
+        if not all(0 <= s < 1 for s in self.shifts):
+            raise ValueError("shifts must lie in [0, 1)")
+        if len(set(self.shifts)) != len(self.shifts):
+            raise ValueError("shifts must be distinct")
         if not self.origin:
             object.__setattr__(self, "origin", (0.0,) * self.dim)
         elif len(self.origin) != self.dim:
@@ -125,24 +139,47 @@ class CubeFamily:
     def levels(self) -> range:
         return range(self.min_level, self.max_level + 1)
 
+    def side(self, level: int) -> float:
+        return 2.0 * self.half_width / 2 ** level
+
+    def _axis(self, level: int, shift: float, offset_side: float) -> np.ndarray:
+        """Cube-center coordinates of a level along one axis, offset by
+        shift * offset_side and wrapped into the domain, before the origin.
+        A layer is offset by its own side; the sub-cubes of a shifted layer
+        carry their parent layer's offset."""
+        L = self.half_width
+        ax = -L + (np.arange(2 ** level) + 0.5) * self.side(level) \
+            + shift * offset_side
+        if shift:
+            ax = (ax + L) % (2.0 * L) - L
+        return ax
+
+    def _centers(self, ax: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Centers (len(index), dim) of the cubes with flat layer indices
+        `index` (row-major in 2-D) on the axis coordinates ax."""
+        if self.dim == 1:
+            return ax[index][:, None] + self.origin[0]
+        n = len(ax)
+        return (np.stack([ax[index // n], ax[index % n]], axis=-1)
+                + np.asarray(self.origin)[None, :])
+
     def batches(self) -> Iterator[tuple[int, float, np.ndarray, float]]:
         """Yield (level, shift, centers (ncubes, dim), side) per layer."""
-        L = self.half_width
         for level in self.levels():
-            n = 2 ** level
-            side = 2.0 * L / n
-            base = -L + (np.arange(n) + 0.5) * side
+            side = self.side(level)
+            index = np.arange((2 ** level) ** self.dim)
             for shift in self.shifts:
-                ax = base + shift * side
-                if shift:
-                    ax = (ax + L) % (2.0 * L) - L
-                if self.dim == 1:
-                    centers = ax[:, None] + self.origin[0]
-                else:
-                    c1, c2 = np.meshgrid(ax, ax, indexing="ij")
-                    centers = np.stack([c1.ravel(), c2.ravel()], axis=-1)
-                    centers = centers + np.asarray(self.origin)[None, :]
-                yield level, shift, centers, side
+                yield (level, shift,
+                       self._centers(self._axis(level, shift, side), index), side)
+
+    def subcube_centers(self, level: int, shift: float, sub_index: np.ndarray,
+                        k: int) -> np.ndarray:
+        """Centers of the level+k sub-cubes `sub_index` (flat, as
+        `subcube_index` gives them) of the layer (level, shift), by the
+        formula of `batches()`: on an unshifted layer they are bit-equal to
+        the family's own level+k centers."""
+        return self._centers(self._axis(level + k, shift, self.side(level)),
+                             sub_index)
 
     def cubes(self) -> list[Cube]:
         out = []
@@ -164,12 +201,24 @@ class CubeFamily:
         if all(s == 0 for s in self.shifts):
             return None
         L = self.half_width
-        o = np.asarray(self.origin)
+        period = 2.0 * L
+        o = self.origin[0] if self.dim == 1 else np.asarray(self.origin)[None, :]
 
         def wrap(x):
-            if self.dim == 1:
-                return (x - o[0] + L) % (2.0 * L) - L + o[0]
-            return (x - o[None, :] + L) % (2.0 * L) - L + o[None, :]
+            # Bit-identical to (x - o + L) % period - L + o.  On [-period,
+            # 2 period) that remainder is one exact fold, which covers every
+            # node of a family: a node lies within side/2 <= L of a center
+            # inside the domain.
+            y = x - o
+            y += L
+            if y.min() < -period or y.max() >= 2.0 * period:
+                np.remainder(y, period, out=y)
+            else:
+                np.subtract(y, period, out=y, where=y >= period)
+                np.add(y, period, out=y, where=y < 0)
+            y -= L
+            y += o
+            return y
 
         return wrap
 
@@ -193,13 +242,14 @@ def build_cube_family(dim: int, half_width: float, min_level: int, max_level: in
 def _evaluate(fn: Callable, nodes: np.ndarray, spacing: float) -> np.ndarray:
     """Evaluate fn at nodes; a singular node is perturbed before giving up."""
     vals = np.asarray(fn(nodes), dtype=float)
+    if np.isfinite(vals).all():
+        return vals
     bad = ~np.isfinite(vals)
-    if bad.any():
-        nudged = nodes.copy()
-        nudged[bad] = nodes[bad] + 0.25 * spacing
-        vals = np.where(bad, np.asarray(fn(nudged), dtype=float), vals)
-        if not np.isfinite(vals).all():
-            raise EvaluationError("function not evaluable at quadrature nodes")
+    nudged = nodes.copy()
+    nudged[bad] = nodes[bad] + 0.25 * spacing
+    vals = np.where(bad, np.asarray(fn(nudged), dtype=float), vals)
+    if not np.isfinite(vals).all():
+        raise EvaluationError("function not evaluable at quadrature nodes")
     return vals
 
 
@@ -214,34 +264,43 @@ def _node_values(fn: Callable, centers: np.ndarray, side: float,
     return _evaluate(fn, flat, side / resolution).reshape(len(centers), -1)
 
 
-def _checked_means(fn, centers, side, resolution, divergence_ratio,
-                   transform=None) -> np.ndarray:
-    """Means at the base resolution for a cube batch, +inf where divergent.
+def _divergence_chain(v0: np.ndarray, doubled: Callable,
+                      divergence_ratio: float) -> np.ndarray:
+    """The base means v0 of a layer, +inf where the average diverges.
 
+    doubled(index, k) gives the k-th doubling's means of the cubes `index`.
     A cube is flagged when its average grows monotonically (per-doubling
     ratio above GROWTH_FLOOR) through DIVERGENCE_DOUBLINGS doublings and the
     total growth factor exceeds divergence_ratio.
     """
-    v0 = _node_values(fn, centers, side, resolution, transform).mean(axis=1)
+    index = np.arange(len(v0))
     prev = v0
-    suspect = np.ones(len(centers), dtype=bool)
-    res = resolution
-    last = v0.copy()
-    for _ in range(DIVERGENCE_DOUBLINGS):
-        res *= 2
-        cur = np.full_like(prev, np.nan)
-        cur[suspect] = _node_values(fn, centers[suspect], side, res,
-                                    transform).mean(axis=1)
-        growing = suspect & (np.abs(cur) > GROWTH_FLOOR * np.abs(prev))
+    for k in range(1, DIVERGENCE_DOUBLINGS + 1):
+        cur = doubled(index, k)
+        growing = np.abs(cur) > GROWTH_FLOOR * np.abs(prev)
         if not growing.any():
             return v0
-        suspect = growing
-        last[suspect] = cur[suspect]
-        prev = cur
-    total = np.zeros(len(centers))
-    nonzero = suspect & (np.abs(v0) > 0)
-    total[nonzero] = np.abs(last[nonzero]) / np.abs(v0[nonzero])
-    return np.where(suspect & (total > divergence_ratio), np.inf, v0)
+        index, prev = index[growing], cur[growing]
+    first = v0[index]
+    nonzero = np.abs(first) > 0
+    total = np.zeros(len(index))
+    total[nonzero] = np.abs(prev[nonzero]) / np.abs(first[nonzero])
+    out = v0.copy()
+    out[index[total > divergence_ratio]] = np.inf
+    return out
+
+
+def subcube_index(dim: int, level: int, index: np.ndarray, k: int) -> np.ndarray:
+    """Flat level+k indices of the 2^(dk) sub-cubes of each level cube in
+    `index`: shape (len(index), 2^(dk)), row-major in 2-D."""
+    K = 2 ** k
+    j = np.arange(K)
+    if dim == 1:
+        return index[:, None] * K + j[None, :]
+    n = 2 ** level
+    rows = (index // n)[:, None, None] * K + j[None, :, None]
+    cols = (index % n)[:, None, None] * K + j[None, None, :]
+    return (rows * (n * K) + cols).reshape(len(index), -1)
 
 
 def _check_resolution(resolution: int) -> None:
@@ -251,17 +310,23 @@ def _check_resolution(resolution: int) -> None:
         raise ValueError("resolution must be at least 2")
 
 
+def _sliced(reduce: Callable, centers: np.ndarray, side: float,
+            resolution: int, transform) -> np.ndarray:
+    """reduce(centers, side, transform) over slices of at most _BATCH_NODES
+    base nodes.  Every reduction works per cube, so the slicing does not
+    change a bit."""
+    step = max(1, _BATCH_NODES // resolution ** centers.shape[1])
+    return np.concatenate([reduce(centers[i:i + step], side, transform)
+                           for i in range(0, len(centers), step)])
+
+
 def _per_layer(family: CubeFamily, resolution: int, reduce: Callable) -> np.ndarray:
     """Concatenate reduce(centers, side, transform) over the family's layers,
-    in slices of at most _BATCH_NODES base nodes; transform is the family's
-    periodic node wrap.  Every reduction works per cube, so the slicing does
-    not change a bit."""
+    sliced as `_sliced` does; transform is the family's periodic node wrap."""
     _check_resolution(resolution)
     transform = family.node_transform()
-    step = max(1, _BATCH_NODES // resolution ** family.dim)
-    return np.concatenate([reduce(centers[i:i + step], side, transform)
-                           for _, _, centers, side in family.batches()
-                           for i in range(0, len(centers), step)])
+    return np.concatenate([_sliced(reduce, centers, side, resolution, transform)
+                           for _, _, centers, side in family.batches()])
 
 
 def average(fn: Callable, cube: Cube, resolution: int,
@@ -271,20 +336,38 @@ def average(fn: Callable, cube: Cube, resolution: int,
     The returned value is the resolution**dim node approximation of
     |Q|^-1 * integral(fn, Q).  The node count is doubled up to three times;
     a value that keeps growing through the doublings with total growth
-    factor above divergence_ratio is reported as +inf.
+    factor above divergence_ratio is reported as +inf.  The cube is the
+    one-cube family centered on it.
     """
-    _check_resolution(resolution)
-    centers = np.asarray([cube.center], dtype=float)
-    return float(_checked_means(fn, centers, cube.side, resolution,
-                                divergence_ratio)[0])
+    family = CubeFamily(cube.dim, cube.side / 2, 0, 0, origin=cube.center)
+    return float(family_averages(family, fn, resolution, divergence_ratio)[0])
 
 
 def family_averages(family: CubeFamily, fn: Callable, resolution: int,
                     divergence_ratio: float = DIVERGENCE_RATIO) -> np.ndarray:
     """Per-cube averages over the whole family, +inf where divergent."""
-    return _per_layer(family, resolution, lambda centers, side, transform:
-                      _checked_means(fn, centers, side, resolution,
-                                     divergence_ratio, transform))
+
+    def means(centers, side, transform):
+        return _node_values(fn, centers, side, resolution, transform).mean(axis=1)
+
+    _check_resolution(resolution)
+    transform = family.node_transform()
+    layers = [(level, shift, _sliced(means, centers, side, resolution, transform))
+              for level, shift, centers, side in family.batches()]
+    held = {(level, shift): v0 for level, shift, v0 in layers}
+
+    def chain(level, shift, v0):
+        def doubled(index, k):
+            sub = subcube_index(family.dim, level, index, k)
+            if not shift and (level + k, shift) in held:
+                return held[(level + k, shift)][sub].mean(axis=1)
+            centers = family.subcube_centers(level, shift, sub.ravel(), k)
+            return _sliced(means, centers, family.side(level + k), resolution,
+                           transform).reshape(sub.shape).mean(axis=1)
+
+        return _divergence_chain(v0, doubled, divergence_ratio)
+
+    return np.concatenate([chain(*layer) for layer in layers])
 
 
 def family_extrema(family: CubeFamily, fn: Callable, resolution: int,

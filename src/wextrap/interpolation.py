@@ -30,13 +30,20 @@ from .grids import DEFAULT_RESOLUTION, CubeFamily
 from .weights import (Exponents, MembershipReport, Verdict, WeightSpec,
                       as_fraction, composite_weight, conjugate, membership,
                       muckenhoupt_constant, multilinear_limited_range_constant,
-                      multilinear_offdiag_constant)
+                      multilinear_offdiag_constant, stability_growth)
 
 Frac = Fraction
 
 DEFAULT_THETA_SCHEDULE = tuple(Frac(1, 2 ** k) for k in range(1, 21))
 
 IDENTITY_TOLERANCE = 1e-10
+# The residuals of `convexity_identity_check` that must stay below
+# IDENTITY_TOLERANCE.
+IDENTITY_RESIDUALS = ("exponent_residual", "nu_exponent_residual",
+                      "weight_identity_max", "nu_identity_max")
+# Relative slack between a reverse-Holder entry's `passes`, decided on
+# lhs <= C * base, and its `max_ratio`, the largest lhs / base.
+_RATIO_ROUNDING = 1e-12
 
 
 class DegenerateParameterError(ValueError):
@@ -735,9 +742,7 @@ def solve_theta(case: Case, qvec: Sequence, rvec: Sequence,
         residuals = convexity_identity_check(theta, p, qvec, rvec, uvec, vvec,
                                              wvec, case, identity_samples,
                                              family, seed)
-        if max(residuals["exponent_residual"], residuals["nu_exponent_residual"],
-               residuals["weight_identity_max"],
-               residuals["nu_identity_max"]) >= IDENTITY_TOLERANCE:
+        if max(residuals[key] for key in IDENTITY_RESIDUALS) >= IDENTITY_TOLERANCE:
             step["failed"] = "identities"
             trail.append(step)
             continue
@@ -844,6 +849,47 @@ def _recheck_theta(doc: dict) -> list[str]:
             problems.append(f"rho != sigma in {label}")
         if Frac(check["split"]["tau"]) != Frac(check["split"]["phi"]):
             problems.append(f"tau != phi in {label}")
-        if not all(entry["passes"] for entry in check["rhi"]):
-            problems.append(f"reverse-Holder entry failed in {label}")
+        problems += [f"{label}: {p}"
+                     for p in _rhi_problems(check["rhi"], float(splits[label].t))]
+    for key in IDENTITY_RESIDUALS:
+        if not float(doc["identity_residuals"][key]) < IDENTITY_TOLERANCE:
+            problems.append(f"identity residual {key} is not below "
+                            f"{IDENTITY_TOLERANCE}")
+    problems += [f"u_membership: {p}"
+                 for p in _membership_problems(doc["u_membership"])]
+    return problems
+
+
+def _rhi_problems(entries: list, t: float) -> list[str]:
+    """A check's reverse-Holder entries: each source pair and its dual, at the
+    split's exponent, each passing, with `passes` agreeing with `max_ratio`."""
+    if len(entries) != 4:
+        return [f"{len(entries)} reverse-Holder entries, not 4"]
+    problems = []
+    for pair, dual in (entries[:2], entries[2:]):
+        if Frac(dual["class_exponent"]) != conjugate(Frac(pair["class_exponent"])):
+            problems.append("a reverse-Holder entry is not followed by its dual")
+    for entry in entries:
+        ratio, constant = float(entry["max_ratio"]), float(entry["constant"])
+        if entry["t"] != t:
+            problems.append("reverse-Holder exponent does not re-derive")
+        if entry["passes"] is not True:
+            problems.append("reverse-Holder entry failed")
+        elif not ratio <= constant * (1 + _RATIO_ROUNDING):
+            problems.append(f"reverse-Holder entry passes with max_ratio "
+                            f"{ratio} above its constant {constant}")
+    return problems
+
+
+def _membership_problems(rep: dict) -> list[str]:
+    """The certified intermediate weights' membership report: a member whose
+    growth re-derives, is finite and lies below its threshold."""
+    problems = []
+    if rep["verdict"] != Verdict.MEMBER.value:
+        problems.append(f"verdict {rep['verdict']} is not member")
+    growth = float(rep["growth"])
+    if growth != stability_growth(float(rep["value"]), float(rep["grown_value"])):
+        problems.append("growth does not re-derive from the two values")
+    if not (math.isfinite(growth) and growth < float(rep["threshold"])):
+        problems.append(f"growth {growth} is not below the threshold")
     return problems

@@ -50,14 +50,19 @@ def conjugate(p: Fraction) -> Union[Fraction, float]:
 
 
 def _norm(x: np.ndarray, center) -> np.ndarray:
+    """|x - center| in a fresh array, which the weights then work on in place."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        return np.abs(x - float(center[0] if not np.isscalar(center) else center))
+        d = x - float(center[0] if not np.isscalar(center) else center)
+        return np.abs(d, out=d)
     d0 = x[..., 0] - float(center[0])
     d1 = x[..., 1] - float(center[1])
     # Bit-identical to sqrt(sum(d ** 2, axis=-1)), without numpy's slow
     # reduction over an axis of length 2.
-    return np.sqrt(d0 * d0 + d1 * d1)
+    d0 *= d0
+    d1 *= d1
+    d0 += d1
+    return np.sqrt(d0, out=d0)
 
 
 class WeightSpec:
@@ -123,7 +128,11 @@ class PowerWeight(WeightSpec):
         object.__setattr__(self, "exponent", as_fraction(self.exponent))
 
     def __call__(self, x):
-        return _norm(x, self.center) ** float(self.exponent)
+        # In-place power keeps numpy's fast paths for the exponents 0.5, 2,
+        # -1, 1 and 0, bit for bit.
+        r = _norm(x, self.center)
+        r **= float(self.exponent)
+        return r
 
     def pow(self, e):
         return PowerWeight(self.center, self.exponent * as_fraction(e))
@@ -148,7 +157,9 @@ class LogBlowupWeight(WeightSpec):
     def __call__(self, x):
         r = _norm(x, self.center)
         with np.errstate(divide="ignore"):
-            return np.log(math.e + 1.0 / r)
+            np.divide(1.0, r, out=r)
+        r += math.e
+        return np.log(r, out=r)
 
     def descriptor(self):
         return {"type": "log_blowup", "center": list(self.center)}
@@ -519,6 +530,11 @@ def bmo_norm(b: Callable, family: CubeFamily,
     return _constant(q, "BMO", family, resolution)
 
 
+def stability_growth(value: float, grown_value: float) -> float:
+    """Relative growth of a class constant when its family grows."""
+    return grown_value / value - 1.0 if value > 0 else 0.0
+
+
 def membership(constant_fn: Callable[[CubeFamily], ClassConstant],
                family: CubeFamily, growth_levels: int = 2,
                threshold: float = 0.01) -> MembershipReport:
@@ -538,7 +554,7 @@ def membership(constant_fn: Callable[[CubeFamily], ClassConstant],
         verdict = Verdict.NON_MEMBER
         growth = math.inf
     else:
-        growth = grown.value / value - 1.0 if value > 0 else 0.0
+        growth = stability_growth(value, grown.value)
         verdict = Verdict.MEMBER if growth < threshold else Verdict.INCONCLUSIVE
     return MembershipReport(verdict, value, grown.value, growth, grown.tag,
                             family.descriptor(), growth_levels, threshold)

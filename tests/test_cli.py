@@ -110,6 +110,13 @@ class TestValidation:
         # the off-diagonal class needs 1/m < p <= p_star (harmonic p)
         ("characterize-offdiagonal", {"p_star": "1/2"}),
         ("characterize-offdiagonal", {"p": ["1", "1"], "p_star": "1"}),
+        # a shift outside [0, 1) or a repeated one lays the same cubes again
+        ("power-weight-ap", {"family": {"dim": 1, "half_width": 4.0,
+                                        "min_level": 0, "max_level": 6,
+                                        "shifts": [0.0, 1.0]}}),
+        ("power-weight-ap", {"family": {"dim": 1, "half_width": 4.0,
+                                        "min_level": 0, "max_level": 6,
+                                        "shifts": [0.5, 0.5]}}),
     ])
     def test_meaningless_input_rejected(self, preset, changes):
         cfg = preset_config(preset)

@@ -9,7 +9,20 @@ from wextrap import grids
 from wextrap.grids import (Cube, CubeFamily, EvaluationError, Grid,
                            GridFunction, average, build_cube_family,
                            family_averages, family_extrema, weighted_lp_norm)
-from wextrap.weights import PowerWeight, bmo_quantities
+from wextrap.weights import LogBlowupWeight, PowerWeight, bmo_quantities
+
+# Shifted families whose layers include level 0 and poke past the domain
+# edge, off the origin, in one and two dimensions.
+SHIFTED = [CubeFamily(1, 2.0, 0, 4, shifts=(0.0, 0.5), origin=(0.3,)),
+           CubeFamily(1, 4.0, 0, 3, shifts=(0.0, 0.25, 0.75)),
+           CubeFamily(2, 1.5, 0, 2, shifts=(0.0, 0.5), origin=(-0.7, 0.2))]
+
+
+def layer_nodes(family, resolution):
+    """The unwrapped quadrature nodes of every layer, flattened."""
+    for _, _, centers, side in family.batches():
+        nodes = grids._batch_nodes(centers, side, resolution)
+        yield nodes.reshape(-1) if family.dim == 1 else nodes.reshape(-1, 2)
 
 
 class TestCubeFamily:
@@ -50,6 +63,14 @@ class TestCubeFamily:
         assert fam.node_transform() is None
         for cube in fam.cubes():
             assert np.all(np.abs(cube.nodes(8)) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("shifts", [(0.0, 1.0), (0.0, 0.0), (2.0,),
+                                        (-0.25,), (0.0, 0.5, 0.5)])
+    def test_rejects_shifts_that_repeat_cubes(self, shifts):
+        # A shift of 1 or 2 lays the level's cubes again, a negative one
+        # aliases into [0, 1), and a repeated one doubles a layer.
+        with pytest.raises(ValueError, match="shifts"):
+            CubeFamily(1, 1.0, 0, 2, shifts=shifts)
 
     def test_grown_extends_max_level(self):
         fam = build_cube_family(1, 2.0, 1, 3)
@@ -143,6 +164,155 @@ class TestAverage:
                               [v.max() for v in per_cube])
         assert np.array_equal(bmo_quantities(fn, fam, 8),
                               [np.abs(v - v.mean()).mean() for v in per_cube])
+
+
+class TestWrap:
+    @staticmethod
+    def remainder_wrap(family, x):
+        L = family.half_width
+        o = np.asarray(family.origin) if family.dim == 2 else family.origin[0]
+        return (x - o + L) % (2.0 * L) - L + o
+
+    @pytest.mark.parametrize("fam", SHIFTED, ids=["1d", "1d-3shifts", "2d"])
+    def test_fold_equals_remainder_on_every_node(self, fam):
+        wrap = fam.node_transform()
+        for x in layer_nodes(fam, 8):
+            before = x.copy()
+            assert np.array_equal(wrap(x), self.remainder_wrap(fam, x))
+            assert np.array_equal(x, before)
+
+    def test_edges_of_the_fold_range(self):
+        # With L = 2 the fold covers x - o + L in [-4, 8); the edges of its
+        # two folds, and arrays reaching past it, which take the remainder.
+        fam = CubeFamily(1, 2.0, 0, 1, shifts=(0.0, 0.5))
+        inside = np.array([-6.0, -4.0 - 1e-15, -4.0, -2.0, -1e-300, 0.0, 2.0,
+                           2.0 + 1e-15, 6.0 - 1e-15])
+        for x in (inside, np.append(inside, 6.0), np.append(inside, -6.5),
+                  np.array([-9.0, 11.3, 17.0])):
+            assert np.array_equal(fam.node_transform()(x),
+                                  self.remainder_wrap(fam, x))
+
+
+class TestDoublingReuse:
+    # Half-widths off the dyadic rationals, so that another center formula
+    # would round differently.
+    @pytest.mark.parametrize("fam", [CubeFamily(1, 1.3, 0, 5, origin=(0.3,)),
+                                     CubeFamily(2, 0.7, 1, 4,
+                                                origin=(-0.7, 0.2))],
+                             ids=["1d", "2d"])
+    def test_subcube_centers_are_the_family_centers(self, fam):
+        layers = {level: (centers, side)
+                  for level, _, centers, side in fam.batches()}
+        for level in fam.levels():
+            index = np.arange(len(layers[level][0]))
+            for k in range(1, fam.max_level - level + 1):
+                sub = grids.subcube_index(fam.dim, level, index, k)
+                assert np.array_equal(np.sort(sub.ravel()),
+                                      np.arange(len(layers[level + k][0])))
+                own = fam.subcube_centers(level, 0.0, sub.ravel(), k)
+                assert np.array_equal(own, layers[level + k][0][sub.ravel()])
+                assert fam.side(level + k) == layers[level + k][1]
+
+    @pytest.mark.parametrize("fam", SHIFTED, ids=["1d", "1d-3shifts", "2d"])
+    def test_subcube_nodes_are_the_doubled_nodes(self, fam):
+        # Shifted layers have no held sub-cubes: their sub-cube nodes, once
+        # wrapped, are the cube's nodes at the doubled resolution.
+        wrap = fam.node_transform()
+        for level, shift, centers, side in fam.batches():
+            for k in (1, 2, 3):
+                sub = grids.subcube_index(fam.dim, level,
+                                           np.arange(len(centers)), k)
+                own = fam.subcube_centers(level, shift, sub.ravel(), k)
+                nodes = grids._batch_nodes(own, fam.side(level + k), 4)
+                doubled = grids._batch_nodes(centers, side, 4 * 2 ** k)
+                shape = (len(centers), -1) + nodes.shape[2:]
+                assert np.allclose(np.sort(wrap(nodes.reshape(shape)), axis=1),
+                                   np.sort(wrap(doubled), axis=1),
+                                   rtol=0, atol=1e-12)
+
+    def test_single_cube_family_has_the_cube_nodes(self):
+        for cube in (Cube((0.3,), 1.7), Cube((-0.7, 0.2), 0.3)):
+            fam = CubeFamily(cube.dim, cube.side / 2, 0, 0, origin=cube.center)
+            [(_, _, centers, side)] = fam.batches()
+            assert side == cube.side
+            assert np.array_equal(grids._batch_nodes(centers, side, 16)[0],
+                                  cube.nodes(16))
+
+    CASES = [
+        (CubeFamily(1, 4.0, 0, 6), PowerWeight((0.0,), -1.5)),
+        (CubeFamily(1, 4.0, 0, 6), PowerWeight((0.0,), -1)),
+        (CubeFamily(1, 4.0, 0, 6), PowerWeight((0.0,), -0.5)),
+        (CubeFamily(1, 4.0, 0, 6), PowerWeight((0.37,), -5 / 6)),
+        (CubeFamily(1, 4.0, 0, 6), LogBlowupWeight((0.0,))),
+        (CubeFamily(1, 4.0, 0, 5, shifts=(0.0, 0.5)), PowerWeight((0.0,), -1)),
+        (CubeFamily(2, 2.0, 0, 3), PowerWeight((0.0, 0.0), -2)),
+        (CubeFamily(2, 2.0, 0, 3), PowerWeight((0.3, -0.7), -1))]
+    CASE_IDS = ["divergent", "log-borderline", "integrable", "off-node",
+                "log-blowup", "shifted", "2d-borderline", "2d-integrable"]
+
+    @pytest.mark.parametrize("fam, w", CASES, ids=CASE_IDS)
+    def test_averages_are_a_prefix_of_the_grown_family(self, fam, w):
+        small = family_averages(fam, w, 8)
+        grown = family_averages(fam.grown(3), w, 8)
+        assert np.array_equal(small, grown[:len(fam)])
+
+    @pytest.mark.parametrize("fam, w", CASES, ids=CASE_IDS)
+    def test_read_doublings_equal_evaluated_ones(self, monkeypatch, fam, w):
+        # Every doubling of every cube, whether the family evaluates its
+        # sub-cubes (top levels) or reads them (grown family), bit for bit.
+        seen = []
+        chain = grids._divergence_chain
+
+        def spy(v0, doubled, ratio):
+            index = np.arange(len(v0))
+            seen.append([v0] + [doubled(index, k) for k in (1, 2, 3)])
+            return chain(v0, doubled, ratio)
+
+        monkeypatch.setattr(grids, "_divergence_chain", spy)
+        family_averages(fam, w, 8)
+        small, seen[:] = seen[:], []
+        family_averages(fam.grown(3), w, 8)
+        for a, b in zip(small, seen):
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("fam, w", CASES, ids=CASE_IDS)
+    def test_doublings_match_direct_midpoint_means(self, monkeypatch, fam, w):
+        # The k-th doubling is the mean over the cube at 2^k times the base
+        # resolution, up to rounding.
+        seen = []
+        chain = grids._divergence_chain
+
+        def spy(v0, doubled, ratio):
+            seen.append([doubled(np.arange(len(v0)), k) for k in (1, 2, 3)])
+            return chain(v0, doubled, ratio)
+
+        monkeypatch.setattr(grids, "_divergence_chain", spy)
+        family_averages(fam, w, 4)
+        wrap = fam.node_transform() or (lambda x: x)
+        for (_, _, centers, side), doublings in zip(fam.batches(), seen):
+            for k, got in zip((1, 2, 3), doublings):
+                nodes = grids._batch_nodes(centers, side, 4 * 2 ** k)
+                flat = nodes.reshape(-1) if fam.dim == 1 else nodes.reshape(-1, 2)
+                direct = grids._evaluate(w, wrap(flat), side / (4 * 2 ** k))
+                assert np.allclose(got, direct.reshape(len(centers), -1).mean(axis=1),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_unshifted_family_reads_all_but_the_top_doublings(self, dim):
+        # No cube of a constant grows, so each chain stops after its first
+        # doubling, and only the top level's doubling is evaluated.
+        fam = CubeFamily(dim, 2.0, 1, 4)
+        points = []
+
+        def counting(x):
+            points.append(len(x))
+            return np.ones(len(x))
+
+        assert np.array_equal(family_averages(fam, counting, 8),
+                              np.ones(len(fam)))
+        top = (2 ** fam.max_level) ** dim
+        assert sum(points) == len(fam) * 8 ** dim + top * (2 * 8) ** dim
 
 
 class TestLayerSlices:

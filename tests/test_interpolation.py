@@ -417,6 +417,32 @@ class TestCaseAlgebra:
             bad.update(changes)
             return bad
 
+        def edited(edit):
+            # a serialized copy of doc (or of its first component) after edit
+            bad = json.loads(canonical_json(doc))
+            edit(bad["components"][0] if "components" in bad else bad)
+            return bad
+
+        def entry(check, **changes):
+            return {**check, "rhi": [{**check["rhi"][0], **changes}]
+                    + check["rhi"][1:]}
+
+        # Numbers that contradict each other, or a verdict the solver would
+        # not have certified.
+        inconsistent = [
+            edited(lambda d: d["u_membership"].update(growth=0.5)),
+            edited(lambda d: d["u_membership"].update(verdict="inconclusive")),
+            edited(lambda d: d["u_membership"].update(
+                grown_value=d["u_membership"]["value"] * 1.5)),
+            edited(lambda d: d["checks"].__setitem__(0, entry(
+                d["checks"][0],
+                max_ratio=10 * d["checks"][0]["rhi"][0]["constant"]))),
+            edited(lambda d: d["checks"][0].update(rhi=[])),
+            edited(lambda d: d["checks"][0].update(rhi=d["checks"][0]["rhi"][:3])),
+            edited(lambda d: d["identity_residuals"].update(
+                weight_identity_max=1e-3)),
+        ]
+
         if "components" in doc:
             other = ({"tag": "offdiagonal_componentwise", "alpha": "0"}
                      if name.startswith("diagonal")
@@ -441,7 +467,7 @@ class TestCaseAlgebra:
                 tampered(case={**doc["case"], "tag": "mystery"}),
                 tampered(p_star="7"),
             ]
-        for bad in forgeries:
+        for bad in forgeries + inconsistent:
             assert recheck_certificate_json(bad) != []
 
     @pytest.mark.parametrize("name", ["diagonal", "offdiagonal"])

@@ -336,6 +336,43 @@ class TestPlanarNorm:
         assert np.array_equal(_norm(x, center), old)
 
 
+class TestInPlaceWeights:
+    """The weights work in place on their own fresh arrays: same bits as the
+    plain formulas, and the nodes they are given stay untouched."""
+
+    EXPONENTS = [F(1, 2), 2, -1, 1, 0, F(-5, 6), F(1, 3)]
+
+    @staticmethod
+    def nodes(center):
+        c = np.asarray(center)
+        rng = np.random.default_rng(9)
+        if len(center) == 1:
+            return np.concatenate([rng.uniform(-4, 4, 999), c])
+        return np.concatenate([rng.uniform(-4, 4, (999, 2)), c[None, :]])
+
+    @staticmethod
+    def old_norm(x, center):
+        if x.ndim == 1:
+            return np.abs(x - center[0])
+        d0, d1 = x[:, 0] - center[0], x[:, 1] - center[1]
+        return np.sqrt(d0 * d0 + d1 * d1)
+
+    @pytest.mark.parametrize("center", [(0.37,), (0.37, -1.29)])
+    def test_match_plain_formulas(self, center):
+        x = self.nodes(center)
+        before = x.copy()
+        r = self.old_norm(x, center)
+        assert np.array_equal(_norm(x, center), r)
+        with np.errstate(divide="ignore"):
+            for e in self.EXPONENTS:
+                got = wx.PowerWeight(center, e)(x)
+                assert np.array_equal(got, r ** float(F(e)))
+            old_log = np.log(math.e + 1.0 / r)
+        assert np.array_equal(wx.LogBlowupWeight(center)(x), old_log)
+        assert np.isinf(old_log[-1])
+        assert np.array_equal(x, before)
+
+
 class TestMembership:
     def test_infinite_value_is_non_member(self):
         rep = wx.membership(
