@@ -28,7 +28,7 @@ from .characterization import (limited_range_criterion, offdiag_criterion,
                                verify_equivalence)
 from .compactness import (DEFAULT_BASIS_SIZE, DEFAULT_CONTRAST_FACTOR,
                           boundedness_sweep, compactness_contrast)
-from .grids import DIVERGENCE_RATIO, CubeFamily, Grid
+from .grids import DIVERGENCE_RATIO, CubeFamily, Grid, quadrature_memo
 from .interpolation import parse_case, product_bound_check, solve_theta
 from .operators import (FourierMultiplierOperator, FractionalIntegralOperator,
                         KernelSpec, RankOneOperator, SymbolSpec,
@@ -36,12 +36,11 @@ from .operators import (FourierMultiplierOperator, FractionalIntegralOperator,
                         smooth_bump, symbol_sobolev_norm)
 from .presets import PRESETS, list_presets, preset_config
 from .serialization import canonical_json, write_csv
-from .weights import (ConstantWeight, Exponents, LogBlowupWeight, PowerWeight,
-                      PowerOfWeight, ProductWeight, Verdict, WeightSpec,
-                      as_fraction, bmo_norm, membership, muckenhoupt_constant,
+from .weights import (Exponents, Verdict, WeightSpec, as_fraction, bmo_norm,
+                      membership, muckenhoupt_constant,
                       muckenhoupt_pq_constant, multilinear_constant,
                       multilinear_limited_range_constant,
-                      multilinear_offdiag_constant)
+                      multilinear_offdiag_constant, parse_weight)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,22 +53,6 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------- parsing
-
-def parse_weight(d: dict) -> WeightSpec:
-    t = d["type"]
-    if t == "constant":
-        return ConstantWeight(float(d.get("value", 1.0)))
-    if t == "power":
-        return PowerWeight(tuple(np.atleast_1d(d.get("center", [0.0])).tolist()),
-                           as_fraction(d.get("exponent", 0)))
-    if t == "log_blowup":
-        return LogBlowupWeight(tuple(np.atleast_1d(d.get("center", [0.0])).tolist()))
-    if t == "product":
-        return ProductWeight(tuple(parse_weight(f) for f in d["factors"]))
-    if t == "power_of":
-        return PowerOfWeight(parse_weight(d["base"]), as_fraction(d["exponent"]))
-    raise ConfigError(f"unknown weight type {t!r}")
-
 
 def parse_pointwise(d: dict) -> Callable:
     """A pointwise-evaluable function: a weight descriptor or a symbol tag."""
@@ -592,13 +575,17 @@ CSV_COLUMNS = ["N", "symbol_class", "k", "a_k", "a_k_over_a1"]
 
 
 def run_experiment(cfg: dict) -> tuple[int, Optional[dict], Optional[list]]:
-    """Parse once and compute; returns (exit_code, output_doc, csv_rows)."""
+    """Parse once and compute; returns (exit_code, output_doc, csv_rows).
+
+    The computation is one `quadrature_memo()` scope: it reuses its own
+    quadrature results and hands none on to the next run."""
     try:
         experiment, parsed = parse_config(cfg)
     except ConfigError as exc:
         return EXIT_CONFIG, {"errors": list(exc.args)}, None
     try:
-        return _RUNNERS[experiment](cfg, **parsed)
+        with quadrature_memo():
+            return _RUNNERS[experiment](cfg, **parsed)
     except Exception as exc:  # surfaced as the compute-error exit status
         return EXIT_COMPUTE, {"error": f"{type(exc).__name__}: {exc}"}, None
 

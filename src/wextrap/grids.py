@@ -13,13 +13,21 @@ takes every layer's base means, then runs each layer's chain.  An unshifted
 layer reads its sub-cubes' means off the family's own level+k layer where the
 family holds it; every other chain evaluates only its suspect cubes'
 sub-cubes.  Either way a cube's value depends on that cube alone.
+
+Inside `quadrature_memo()` (one scope per CLI run) `family_averages` keeps
+each result per (function, resolution, divergence ratio, family without its
+max_level).  Since a cube's value depends on that cube alone and `batches()`
+is level-major, a family is served from a deeper family's stored values as
+their first len(family) entries, bit for bit; only a deeper family computes
+again, and its values replace the shallower ones.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +56,10 @@ DEFAULT_RESOLUTION = 128
 # each slice's freed arrays back to the system, so every slice page-faults
 # its memory afresh.
 _BATCH_NODES = 2 ** 16
+
+# The memo of `family_averages` in the innermost open `quadrature_memo()`
+# scope: key -> (max_level, per-cube values); None outside every scope.
+_memo: Optional[dict] = None
 
 
 class EvaluationError(ValueError):
@@ -343,10 +355,46 @@ def average(fn: Callable, cube: Cube, resolution: int,
     return float(family_averages(family, fn, resolution, divergence_ratio)[0])
 
 
+@contextlib.contextmanager
+def quadrature_memo():
+    """A scope in which `family_averages` computes each result once.
+
+    The memo holds 8 bytes per cube and is dropped on exit, when the outer
+    scope's memo (or none) is back in place.  A function that is not
+    hashable, such as a tabulated weight, is computed on every call.
+    """
+    global _memo
+    outer, _memo = _memo, {}
+    try:
+        yield
+    finally:
+        _memo = outer
+
+
 def family_averages(family: CubeFamily, fn: Callable, resolution: int,
                     divergence_ratio: float = DIVERGENCE_RATIO) -> np.ndarray:
-    """Per-cube averages over the whole family, +inf where divergent."""
+    """Per-cube averages over the whole family, +inf where divergent.
 
+    Inside `quadrature_memo()` a family whose (function, resolution, ratio,
+    family without max_level) was computed at least as deep is read off the
+    stored values, as a fresh array.
+    """
+    if _memo is None:
+        return _family_averages(family, fn, resolution, divergence_ratio)
+    key = (fn, resolution, divergence_ratio, family.dim, family.half_width,
+           family.min_level, family.shifts, family.origin)
+    try:
+        held = _memo.get(key)
+    except TypeError:  # fn is not hashable
+        return _family_averages(family, fn, resolution, divergence_ratio)
+    if held is None or held[0] < family.max_level:
+        held = _memo[key] = (family.max_level, _family_averages(
+            family, fn, resolution, divergence_ratio))
+    return held[1][:len(family)].copy()
+
+
+def _family_averages(family: CubeFamily, fn: Callable, resolution: int,
+                     divergence_ratio: float) -> np.ndarray:
     def means(centers, side, transform):
         return _node_values(fn, centers, side, resolution, transform).mean(axis=1)
 

@@ -30,7 +30,8 @@ from .grids import DEFAULT_RESOLUTION, CubeFamily
 from .weights import (Exponents, MembershipReport, Verdict, WeightSpec,
                       as_fraction, composite_weight, conjugate, membership,
                       muckenhoupt_constant, multilinear_limited_range_constant,
-                      multilinear_offdiag_constant, stability_growth)
+                      multilinear_offdiag_constant, parse_weight,
+                      stability_growth)
 
 Frac = Fraction
 
@@ -812,6 +813,9 @@ def _recheck_theta(doc: dict) -> list[str]:
     case = parse_case(doc["case"])
     theta = Frac(doc["theta"])
     q, r = _exponent_vectors(doc)
+    v, w = (tuple(parse_weight(d) for d in doc["provenance"][side])
+            for side in ("v", "w"))
+    u = tuple(parse_weight(d) for d in doc["u"])
     p = tuple(Frac(v) for v in doc["p"])
     p_harmonic = Frac(doc["p_harmonic"])
     p_star = None if doc["p_star"] is None else Frac(doc["p_star"])
@@ -827,10 +831,14 @@ def _recheck_theta(doc: dict) -> list[str]:
         expected_p = intermediate_exponents(r, q, theta)
         splits = case.splits(r, q, theta)
         expected_star = case.p_star(expected_p)
+        expected_u = case.intermediate_weights(w, v, r, q, theta)
+        pairs = case.pairs(q, r, expected_p, v, w, u, theta)
     except ValueError as exc:
         return problems + [f"exponents degenerate: {exc}"]
     if expected_p != p:
         problems.append("intermediate exponents do not re-derive")
+    if [x.descriptor() for x in expected_u] != doc["u"]:
+        problems.append("intermediate weights do not re-derive")
     for rj, pj, qj in zip(r, p, q):
         if Frac(1) / rj != (1 - theta) / pj + theta / qj:
             problems.append("convexity identity fails")
@@ -849,8 +857,14 @@ def _recheck_theta(doc: dict) -> list[str]:
             problems.append(f"rho != sigma in {label}")
         if Frac(check["split"]["tau"]) != Frac(check["split"]["phi"]):
             problems.append(f"tau != phi in {label}")
+        target, source_r, source_q, bound = pairs[label]
+        if (check["target"] != target.descriptor()
+                or check["bound_exponents"] != [str(a) for a in bound]):
+            problems.append(f"measured-bound data for {label} does not re-derive")
+        sources = (*_class_pair_expand(source_r), *_class_pair_expand(source_q))
         problems += [f"{label}: {p}"
-                     for p in _rhi_problems(check["rhi"], float(splits[label].t))]
+                     for p in _rhi_problems(check["rhi"], float(splits[label].t),
+                                            sources)]
     for key in IDENTITY_RESIDUALS:
         if not float(doc["identity_residuals"][key]) < IDENTITY_TOLERANCE:
             problems.append(f"identity residual {key} is not below "
@@ -860,15 +874,17 @@ def _recheck_theta(doc: dict) -> list[str]:
     return problems
 
 
-def _rhi_problems(entries: list, t: float) -> list[str]:
-    """A check's reverse-Holder entries: each source pair and its dual, at the
-    split's exponent, each passing, with `passes` agreeing with `max_ratio`."""
-    if len(entries) != 4:
-        return [f"{len(entries)} reverse-Holder entries, not 4"]
+def _rhi_problems(entries: list, t: float, sources: tuple) -> list[str]:
+    """A check's reverse-Holder entries: the re-derived `sources` (each source
+    pair and its dual), at the split's exponent, each passing, with `passes`
+    agreeing with `max_ratio`."""
+    if len(entries) != len(sources):
+        return [f"{len(entries)} reverse-Holder entries, not {len(sources)}"]
     problems = []
-    for pair, dual in (entries[:2], entries[2:]):
-        if Frac(dual["class_exponent"]) != conjugate(Frac(pair["class_exponent"])):
-            problems.append("a reverse-Holder entry is not followed by its dual")
+    for entry, pair in zip(entries, sources):
+        if {k: entry[k] for k in ("weight", "class_exponent")} != pair.descriptor():
+            problems.append("a reverse-Holder entry is not the re-derived "
+                            "source pair or dual")
     for entry in entries:
         ratio, constant = float(entry["max_ratio"]), float(entry["constant"])
         if entry["t"] != t:

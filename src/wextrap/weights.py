@@ -230,6 +230,24 @@ class PowerOfWeight(WeightSpec):
                 "exponent": _exp_to_jsonable(self.exponent)}
 
 
+def parse_weight(d: dict) -> WeightSpec:
+    """The weight a `descriptor()` describes (the inverse of `descriptor`);
+    tabulated samples have no descriptor to rebuild them from."""
+    t = d["type"]
+    if t == "constant":
+        return ConstantWeight(float(d.get("value", 1.0)))
+    if t == "power":
+        return PowerWeight(tuple(np.atleast_1d(d.get("center", [0.0])).tolist()),
+                           as_fraction(d.get("exponent", 0)))
+    if t == "log_blowup":
+        return LogBlowupWeight(tuple(np.atleast_1d(d.get("center", [0.0])).tolist()))
+    if t == "product":
+        return ProductWeight(tuple(parse_weight(f) for f in d["factors"]))
+    if t == "power_of":
+        return PowerOfWeight(parse_weight(d["base"]), as_fraction(d["exponent"]))
+    raise ValueError(f"unknown weight type {t!r}")
+
+
 def _collect(spec: WeightSpec, outer: Fraction, powers: dict, others: list,
              const: list) -> None:
     if isinstance(spec, ProductWeight):

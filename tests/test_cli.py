@@ -117,6 +117,9 @@ class TestValidation:
         ("power-weight-ap", {"family": {"dim": 1, "half_width": 4.0,
                                         "min_level": 0, "max_level": 6,
                                         "shifts": [0.5, 0.5]}}),
+        # weights are parsed by the inverse of their descriptors
+        ("diagonal-certificate", {"w": [{"type": "mystery"}] * 2}),
+        ("diagonal-certificate", {"v": [{"center": [0.0]}] * 2}),
     ])
     def test_meaningless_input_rejected(self, preset, changes):
         cfg = preset_config(preset)

@@ -5,11 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from wextrap import grids
+from wextrap import cli, grids
+from wextrap.characterization import reverse_holder_check
 from wextrap.grids import (Cube, CubeFamily, EvaluationError, Grid,
                            GridFunction, average, build_cube_family,
                            family_averages, family_extrema, weighted_lp_norm)
-from wextrap.weights import LogBlowupWeight, PowerWeight, bmo_quantities
+from wextrap.presets import preset_config
+from wextrap.weights import (Exponents, LogBlowupWeight, PowerWeight,
+                             ProductWeight, TabulatedWeight, bmo_norm,
+                             bmo_quantities, muckenhoupt_constant,
+                             muckenhoupt_pq_constant, multilinear_constant,
+                             multilinear_limited_range_constant,
+                             multilinear_offdiag_constant)
 
 # Shifted families whose layers include level 0 and poke past the domain
 # edge, off the origin, in one and two dimensions.
@@ -341,6 +348,157 @@ class TestLayerSlices:
         assert np.isinf(whole[0]).any() and np.isfinite(whole[0]).any()
         for a, b in zip(whole, sliced):
             assert np.array_equal(a, b)
+
+
+class Counting:
+    """A hashable function that counts the points it is evaluated at."""
+
+    def __init__(self, fn):
+        self.fn, self.points = fn, 0
+
+    def __call__(self, x):
+        self.points += len(x)
+        return self.fn(x)
+
+
+class TestQuadratureMemo:
+    FAM = CubeFamily(1, 4.0, 0, 4, shifts=(0.0, 0.5), origin=(0.3,))
+
+    def counting(self):
+        return Counting(PowerWeight((0.3,), -1))
+
+    def test_memo_exists_only_inside_its_scope(self):
+        assert grids._memo is None
+        with grids.quadrature_memo():
+            outer = grids._memo
+            assert outer == {}
+            with grids.quadrature_memo():
+                assert grids._memo == {} and grids._memo is not outer
+            assert grids._memo is outer
+        assert grids._memo is None
+
+    def test_scope_is_left_on_an_exception(self):
+        with pytest.raises(EvaluationError):
+            with grids.quadrature_memo():
+                family_averages(self.FAM, lambda x: np.full(len(x), np.nan), 8)
+        assert grids._memo is None
+
+    def test_grown_then_base_reads_the_prefix(self):
+        w = self.counting()
+        plain = family_averages(self.FAM, w, 8)
+        grown = family_averages(self.FAM.grown(2), w, 8)
+        with grids.quadrature_memo():
+            assert np.array_equal(family_averages(self.FAM.grown(2), w, 8), grown)
+            w.points = 0
+            for _ in range(2):
+                assert np.array_equal(family_averages(self.FAM, w, 8), plain)
+            assert w.points == 0
+
+    def test_base_then_grown_evaluates_again(self):
+        w = self.counting()
+        grown = family_averages(self.FAM.grown(2), w, 8)
+        with grids.quadrature_memo():
+            family_averages(self.FAM, w, 8)
+            w.points = 0
+            assert np.array_equal(family_averages(self.FAM.grown(2), w, 8), grown)
+            assert w.points > 0
+            # the grown values replaced the base ones
+            w.points = 0
+            family_averages(self.FAM.grown(1), w, 8)
+            assert w.points == 0
+
+    @pytest.mark.parametrize("other", [
+        {"divergence_ratio": 1.5}, {"resolution": 16},
+        {"family": CubeFamily(1, 4.0, 0, 4, origin=(0.3,))},
+        {"family": CubeFamily(1, 4.0, 0, 4, shifts=(0.0, 0.5))}],
+        ids=["divergence_ratio", "resolution", "shifts", "origin"])
+    def test_keys_differing_in_one_part_share_nothing(self, other):
+        w = self.counting()
+        args = {"family": self.FAM, "fn": w, "resolution": 8,
+                "divergence_ratio": grids.DIVERGENCE_RATIO}
+        expected = family_averages(**{**args, **other})
+        with grids.quadrature_memo():
+            family_averages(**args)
+            w.points = 0
+            assert np.array_equal(family_averages(**{**args, **other}), expected)
+            assert w.points > 0
+            assert len(grids._memo) == 2
+
+    def test_tabulated_weights_are_never_stored(self):
+        grid = Grid(1, 64, 4.0)
+        table = TabulatedWeight(GridFunction.from_callable(
+            grid, lambda x: 1.0 + np.abs(x)))
+        for w in (table, ProductWeight((PowerWeight((0.0,), 0.5), table))):
+            plain = family_averages(self.FAM, w, 8)
+            with grids.quadrature_memo():
+                for _ in range(2):
+                    assert np.array_equal(family_averages(self.FAM, w, 8), plain)
+                assert grids._memo == {}
+
+    def test_writing_into_a_result_leaves_the_memo(self):
+        w = self.counting()
+        plain = family_averages(self.FAM, w, 8)
+        with grids.quadrature_memo():
+            for _ in range(2):
+                out = family_averages(self.FAM, w, 8)
+                out[:] = -1.0
+            assert np.array_equal(family_averages(self.FAM, w, 8), plain)
+
+    def test_each_run_is_one_scope(self, monkeypatch):
+        seen = []
+        run = cli._RUNNERS["weight-constant"]
+
+        def spy(cfg, **parsed):
+            seen.append((grids._memo, len(grids._memo)))
+            return run(cfg, **parsed)
+
+        def fail(cfg, **parsed):
+            family_averages(self.FAM, self.counting(), 8)
+            raise FloatingPointError("class constant produced NaN")
+
+        cfg = preset_config("unit-weight-ap")
+        monkeypatch.setitem(cli._RUNNERS, "weight-constant", spy)
+        for _ in range(2):
+            assert cli.run_experiment(cfg)[0] == cli.EXIT_OK
+            assert grids._memo is None
+        [(first, empty), (second, also_empty)] = seen
+        assert empty == also_empty == 0 and first and second is not first
+        assert cli.run_experiment({"experiment": "solve-theta"})[0] \
+            == cli.EXIT_CONFIG
+        assert grids._memo is None
+        monkeypatch.setitem(cli._RUNNERS, "weight-constant", fail)
+        assert cli.run_experiment(cfg)[0] == cli.EXIT_COMPUTE
+        assert grids._memo is None
+
+    def test_class_constants_equal_outside_and_inside(self):
+        w1, w2 = PowerWeight((0.3,), -0.5), PowerWeight((0.0,), 1.5)
+        p = Exponents((2, 3))
+        constants = [
+            lambda f: muckenhoupt_constant(w1, 2, f, 8),
+            lambda f: muckenhoupt_constant(w2, 1, f, 8),
+            lambda f: muckenhoupt_constant(PowerWeight((0.0,), -1), 2, f, 8),
+            lambda f: muckenhoupt_pq_constant(w1, 2, 3, f, 8),
+            lambda f: multilinear_constant((w1, w2), p, f, 8),
+            lambda f: multilinear_limited_range_constant(
+                (w1, w2), p, Exponents((1, 3)), f, 8),
+            lambda f: multilinear_offdiag_constant((w1, w2), p, 2, f, 8),
+            lambda f: bmo_norm(LogBlowupWeight((0.0,)), f, 8)]
+
+        def results():
+            # the base family is served from the grown one, then repeated
+            out = []
+            for f in (self.FAM.grown(2), self.FAM, self.FAM):
+                out += [(r.value, r.quantities) for r in (c(f) for c in constants)]
+                out += [reverse_holder_check(w, 1.5, 2.0, f, 8)
+                        for w in (w1, w2)]
+            return out
+
+        plain = results()
+        with grids.quadrature_memo():
+            memoized = results()
+        assert len(plain) == len(memoized)
+        for a, b in zip(plain, memoized):
+            assert a[0] == b[0] and np.array_equal(a[1], b[1])
 
 
 class TestWeightedNorm:

@@ -21,6 +21,7 @@ from wextrap.interpolation import (DegenerateParameterError,
                                    parse_case, product_bound_check,
                                    recheck_certificate_json, solve_theta,
                                    split_exponents)
+from wextrap.grids import quadrature_memo
 from wextrap.serialization import canonical_json
 
 F = Fraction
@@ -441,6 +442,12 @@ class TestCaseAlgebra:
             edited(lambda d: d["checks"][0].update(rhi=d["checks"][0]["rhi"][:3])),
             edited(lambda d: d["identity_residuals"].update(
                 weight_identity_max=1e-3)),
+            # a source pair swapped with its dual: the class exponents are
+            # still conjugate, the weights no longer re-derive
+            edited(lambda d: d["checks"][0].update(
+                rhi=d["checks"][0]["rhi"][1::-1] + d["checks"][0]["rhi"][2:])),
+            edited(lambda d: d["u"].__setitem__(
+                0, {"type": "constant", "value": 1.0})),
         ]
 
         if "components" in doc:
@@ -469,6 +476,19 @@ class TestCaseAlgebra:
             ]
         for bad in forgeries + inconsistent:
             assert recheck_certificate_json(bad) != []
+
+    @pytest.mark.parametrize("name", ["diagonal", "offdiagonal",
+                                      "diagonal_componentwise",
+                                      "offdiagonal_componentwise"])
+    def test_quadrature_memo_moves_no_byte(self, certificates, name):
+        case, outcome = certificates[name]
+        w = (power(F(1, 5)), power(F(1, 5)))
+        q, r = (tuple(F(v) for v in outcome.certificate.provenance[key])
+                for key in ("q", "r"))
+        with quadrature_memo():
+            again = solve_theta(case, q, r, w, w, family(4), resolution=32)
+        assert canonical_json(again.to_json_dict()) \
+            == canonical_json(outcome.to_json_dict())
 
     @pytest.mark.parametrize("name", ["diagonal", "offdiagonal"])
     @pytest.mark.parametrize("forge", ["zero_exponent", "check_without_split"])

@@ -14,7 +14,7 @@ import pytest
 import wextrap as wx
 from wextrap.weights import (_norm, bmo_quantities,
                              multilinear_limited_range_quantities,
-                             multilinear_quantities)
+                             multilinear_quantities, parse_weight)
 
 F = Fraction
 
@@ -56,6 +56,24 @@ class TestWeightAlgebra:
     def test_constant_weight_must_be_positive(self):
         with pytest.raises(ValueError):
             wx.ConstantWeight(0.0)
+
+
+class TestParseWeight:
+    @pytest.mark.parametrize("w", [
+        wx.ConstantWeight(2.0), power(F(2, 7)),
+        wx.PowerWeight((0.5, -0.25), F(-1, 3)), wx.LogBlowupWeight((0.3,)),
+        wx.ProductWeight((power(F(1, 2)), wx.ConstantWeight(3.0))),
+        wx.PowerOfWeight(wx.LogBlowupWeight((0.0, 1.0)), F(-3, 2))],
+        ids=["constant", "power", "planar", "log", "product", "power_of"])
+    def test_inverts_descriptor(self, w):
+        assert parse_weight(w.descriptor()) == w
+
+    def test_unknown_types_rejected(self):
+        table = wx.TabulatedWeight(wx.GridFunction.from_callable(
+            wx.Grid(1, 8, 1.0), lambda x: np.ones(len(x))))
+        for desc in ({"type": "mystery"}, table.descriptor()):
+            with pytest.raises(ValueError, match="unknown weight type"):
+                parse_weight(desc)
 
 
 class TestCompositeWeight:

@@ -7,7 +7,9 @@ Run from the root of the checkout to dump: wextrap is imported from its
 read.  Every config runs in this process through
 `wextrap.cli.main(["run", ...])` with BLAS capped at one thread.  Each run
 gets its own directory, OUTDIR/presets/NAME or OUTDIR/WORKLOAD/STRATUM-ID,
-holding its JSON (and CSV) artifact and an `exit_code` file.
+holding its JSON (and CSV) artifact and an `exit_code` file.  On stderr
+it prints each workload's run count and in-process wall time, so a dump of
+two checkouts also gives a rough before/after timing.
 
 To show that a change moves no artifact byte, dump both checkouts with the
 same copy of this script and compare:
@@ -25,6 +27,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                   "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
@@ -40,6 +43,11 @@ def _run(cli_main, argv, outdir) -> int:
     with open(os.path.join(outdir, "exit_code"), "w") as fh:
         fh.write(f"{code}\n")
     return code
+
+
+def _report(workload: str, count: int, start: float) -> None:
+    seconds = time.perf_counter() - start
+    print(f"{workload}: {count} runs in {seconds:.1f} s", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -58,12 +66,13 @@ def main(argv=None) -> int:
     from wextrap.cli import main as cli_main
     from wextrap.presets import PRESETS
 
+    start = time.perf_counter()
     for name in sorted(PRESETS):
         _run(cli_main, ["--preset", name], os.path.join(out, "presets", name))
-    print(f"presets: {len(PRESETS)} runs", file=sys.stderr)
+    _report("presets", len(PRESETS), start)
     with tempfile.TemporaryDirectory() as configs:
         for workload in catalog.WORKLOADS:
-            count = 0
+            count, start = 0, time.perf_counter()
             for stratum, cfgs in catalog.catalog(workload).items():
                 for cfg in cfgs:
                     run_id = f"{stratum}-{catalog.config_id(cfg)}"
@@ -72,7 +81,7 @@ def main(argv=None) -> int:
                         json.dump(cfg, fh)
                     _run(cli_main, [path], os.path.join(out, workload, run_id))
                     count += 1
-            print(f"{workload}: {count} runs", file=sys.stderr)
+            _report(workload, count, start)
     return 0
 
 
