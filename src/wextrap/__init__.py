@@ -8,9 +8,9 @@ from .grids import (Cube, CubeFamily, Grid, GridFunction, average,
                     build_cube_family, family_averages, weighted_lp_norm)
 from .weights import (ClassConstant, ConstantWeight, Exponents,
                       LogBlowupWeight, MembershipReport, PowerOfWeight,
-                      PowerWeight, ProductWeight, TabulatedWeight, Verdict,
-                      WeightSpec, as_fraction, bmo_norm, composite_weight,
-                      conjugate, exponents, membership, muckenhoupt_constant,
+                      PowerWeight, ProductWeight, Verdict, WeightSpec,
+                      as_fraction, bmo_norm, composite_weight, conjugate,
+                      exponents, membership, muckenhoupt_constant,
                       muckenhoupt_pq_constant, multilinear_constant,
                       multilinear_limited_range_constant,
                       multilinear_offdiag_constant)
@@ -20,7 +20,7 @@ __all__ = [
     "build_cube_family", "family_averages", "weighted_lp_norm",
     "ClassConstant", "ConstantWeight", "Exponents", "LogBlowupWeight",
     "MembershipReport", "PowerOfWeight", "PowerWeight", "ProductWeight",
-    "TabulatedWeight", "Verdict", "WeightSpec", "as_fraction", "bmo_norm",
+    "Verdict", "WeightSpec", "as_fraction", "bmo_norm",
     "composite_weight", "conjugate", "exponents", "membership",
     "muckenhoupt_constant", "muckenhoupt_pq_constant", "multilinear_constant",
     "multilinear_limited_range_constant", "multilinear_offdiag_constant",

@@ -1,5 +1,5 @@
 """Componentwise characterizations of the multilinear classes, the duality
-transform, and reverse-Holder exponent certificates.
+transform, and the reverse-Holder check.
 
 The two characterizations reduce a multilinear class membership to scalar
 class memberships of transformed weights; `verify_equivalence` checks the
@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grids import DEFAULT_RESOLUTION, DIVERGENCE_RATIO, CubeFamily, family_averages
+from .grids import DEFAULT_RESOLUTION, CubeFamily, family_averages
 from .weights import (ClassConstant, Exponents, MembershipReport, Verdict,
                       WeightSpec, as_fraction, composite_weight, conjugate,
                       membership, muckenhoupt_constant)
@@ -103,13 +103,14 @@ def offdiag_criterion(pvec: Exponents, p_star) -> ComponentCriterion:
     For p_j > 1 the j-th entry is w_j^(-p_j') in the scalar class with
     exponent m p_j'; the p_j = 1 branch degenerates to w_j^(1/m) in the
     class-one condition.  The plain product weight raised to p* must lie in
-    the scalar class with exponent m p*.
+    the scalar class with exponent m p*.  The harmonic p must exceed 1/m,
+    as for the direct quantity: p = 1/m (every p_j = 1) raises ValueError.
     """
     p_star = as_fraction(p_star)
     m = len(pvec)
     p = pvec.harmonic
-    if not (Fraction(1, m) <= p <= p_star):
-        raise ValueError("need 1/m <= p <= p* < inf")
+    if not (Fraction(1, m) < p <= p_star):
+        raise ValueError("need 1/m < p <= p* < inf")
     entries = []
     for j, pj in enumerate(pvec.values):
         if pj == 1:
@@ -176,66 +177,20 @@ def verify_equivalence(wvec: Sequence[WeightSpec], criterion: ComponentCriterion
     return EquivalenceReport(direct, tuple(comps), cw, agree)
 
 
-DEFAULT_T_GRID = tuple(1.0 + 0.01 * k for k in range(1, 101))
-
 # The comparison constant hides the absolute constant of the reverse-Holder
 # inequality; 2 keeps certificates reproducible and can be raised by callers.
 DEFAULT_RHI_CONSTANT = 2.0
 
 
-@dataclass(frozen=True)
-class RhiCertificate:
-    """Largest grid exponent at which <w^t>^(1/t) <= C <w> held over the family."""
-
-    eta: float
-    constant: float
-    t_grid: tuple[float, ...]
-    weight: dict
-    family: dict
-    resolution: int
-
-    def descriptor(self) -> dict:
-        return {"eta": self.eta, "constant": self.constant,
-                "t_min": self.t_grid[0], "t_max": self.t_grid[-1],
-                "t_count": len(self.t_grid), "weight": self.weight,
-                "family": self.family, "resolution": self.resolution}
-
-
 def reverse_holder_check(w: WeightSpec, t: float, constant: float,
                          family: CubeFamily,
-                         resolution: int = DEFAULT_RESOLUTION,
-                         divergence_ratio: float = DIVERGENCE_RATIO) -> tuple[bool, float]:
+                         resolution: int = DEFAULT_RESOLUTION) -> tuple[bool, float]:
     """Check <w^t>_Q^(1/t) <= C <w>_Q on every cube; returns (passes, max ratio)."""
-    base = family_averages(family, w, resolution, divergence_ratio)
-    powered = family_averages(family, w.pow(as_fraction(t)), resolution,
-                              divergence_ratio)
+    base = family_averages(family, w, resolution)
+    powered = family_averages(family, w.pow(as_fraction(t)), resolution)
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = powered ** (1.0 / float(t))
         ratios = np.where(np.isfinite(base) & np.isfinite(lhs), lhs / base, np.inf)
     worst = float(np.max(ratios))
     passes = bool(np.all(np.isfinite(lhs)) and np.all(lhs <= constant * base))
     return passes, worst
-
-
-def reverse_holder_exponent(w: WeightSpec, family: CubeFamily,
-                            constant: float = DEFAULT_RHI_CONSTANT,
-                            t_grid: Sequence[float] = DEFAULT_T_GRID,
-                            resolution: int = DEFAULT_RESOLUTION,
-                            divergence_ratio: float = DIVERGENCE_RATIO) -> RhiCertificate:
-    """Scan the exponent grid and report the largest passing gain eta = t - 1."""
-    if constant < 1:
-        raise ValueError("comparison constant must be >= 1")
-    t_grid = tuple(float(t) for t in t_grid)
-    if any(t <= 1 for t in t_grid):
-        raise ValueError("grid exponents must exceed 1")
-    base = family_averages(family, w, resolution, divergence_ratio)
-    eta = 0.0
-    for t in t_grid:
-        powered = family_averages(family, w.pow(as_fraction(t)), resolution,
-                                  divergence_ratio)
-        with np.errstate(over="ignore", invalid="ignore"):
-            lhs = powered ** (1.0 / t)
-        if np.all(lhs <= constant * base):
-            eta = max(eta, t - 1.0)
-    return RhiCertificate(eta, constant, t_grid, w.descriptor(),
-                          family.descriptor(), resolution)

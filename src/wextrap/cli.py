@@ -622,6 +622,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_overwrite(config: Optional[str], artifact: str) -> None:
+    """An artifact may not replace the config it came from.  The paths are
+    compared as absolute strings, so a link to the config is not caught."""
+    if config and os.path.abspath(config) == os.path.abspath(artifact):
+        raise ConfigError(f"the artifact {artifact} would overwrite the "
+                          "config; choose another --output-dir")
+
+
 # Built once: every `main` call only parses with it.
 _PARSER = _build_parser()
 
@@ -657,20 +665,23 @@ def main(argv: Optional[list[str]] = None) -> int:
             if not eq:
                 raise ConfigError(f"bad override {ov!r}")
             _apply_override(cfg, key, raw)
+        json_path = os.path.join(args.output_dir, f"{name}.json")
+        csv_path = os.path.join(args.output_dir, f"{name}.csv")
+        _refuse_overwrite(args.config, json_path)
         code, out, csv_rows = run_experiment(cfg)
         if code == EXIT_CONFIG:
             raise ConfigError(*out["errors"])
+        if csv_rows is not None:
+            _refuse_overwrite(args.config, csv_path)
     except ConfigError as exc:
         for problem in exc.args:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
     os.makedirs(args.output_dir, exist_ok=True)
-    json_path = os.path.join(args.output_dir, f"{name}.json")
     with open(json_path, "w") as fh:
         fh.write(canonical_json(out))
     print(f"wrote {json_path}")
     if csv_rows is not None:
-        csv_path = os.path.join(args.output_dir, f"{name}.csv")
         write_csv(csv_path, csv_rows, CSV_COLUMNS)
         print(f"wrote {csv_path}")
     if code == EXIT_COMPUTE:

@@ -15,11 +15,13 @@ family holds it; every other chain evaluates only its suspect cubes'
 sub-cubes.  Either way a cube's value depends on that cube alone.
 
 Inside `quadrature_memo()` (one scope per CLI run) `family_averages` keeps
-each result per (function, resolution, divergence ratio, family without its
-max_level).  Since a cube's value depends on that cube alone and `batches()`
-is level-major, a family is served from a deeper family's stored values as
+each result per (function, resolution, family without its max_level).
+Since a cube's value depends on that cube alone and `batches()` is
+level-major, a family is served from a deeper family's stored values as
 their first len(family) entries, bit for bit; only a deeper family computes
-again, and its values replace the shallower ones.
+again, and its values replace the shallower ones.  The function is part of
+the key, so inside a scope it must be hashable, as every parsed weight and
+symbol is.
 """
 
 from __future__ import annotations
@@ -276,14 +278,13 @@ def _node_values(fn: Callable, centers: np.ndarray, side: float,
     return _evaluate(fn, flat, side / resolution).reshape(len(centers), -1)
 
 
-def _divergence_chain(v0: np.ndarray, doubled: Callable,
-                      divergence_ratio: float) -> np.ndarray:
+def _divergence_chain(v0: np.ndarray, doubled: Callable) -> np.ndarray:
     """The base means v0 of a layer, +inf where the average diverges.
 
     doubled(index, k) gives the k-th doubling's means of the cubes `index`.
     A cube is flagged when its average grows monotonically (per-doubling
     ratio above GROWTH_FLOOR) through DIVERGENCE_DOUBLINGS doublings and the
-    total growth factor exceeds divergence_ratio.
+    total growth factor exceeds DIVERGENCE_RATIO.
     """
     index = np.arange(len(v0))
     prev = v0
@@ -298,7 +299,7 @@ def _divergence_chain(v0: np.ndarray, doubled: Callable,
     total = np.zeros(len(index))
     total[nonzero] = np.abs(prev[nonzero]) / np.abs(first[nonzero])
     out = v0.copy()
-    out[index[total > divergence_ratio]] = np.inf
+    out[index[total > DIVERGENCE_RATIO]] = np.inf
     return out
 
 
@@ -341,18 +342,17 @@ def _per_layer(family: CubeFamily, resolution: int, reduce: Callable) -> np.ndar
                            for _, _, centers, side in family.batches()])
 
 
-def average(fn: Callable, cube: Cube, resolution: int,
-            divergence_ratio: float = DIVERGENCE_RATIO) -> float:
+def average(fn: Callable, cube: Cube, resolution: int) -> float:
     """Midpoint-rule average of fn over a cube; +inf if refinement diverges.
 
     The returned value is the resolution**dim node approximation of
     |Q|^-1 * integral(fn, Q).  The node count is doubled up to three times;
     a value that keeps growing through the doublings with total growth
-    factor above divergence_ratio is reported as +inf.  The cube is the
+    factor above DIVERGENCE_RATIO is reported as +inf.  The cube is the
     one-cube family centered on it.
     """
     family = CubeFamily(cube.dim, cube.side / 2, 0, 0, origin=cube.center)
-    return float(family_averages(family, fn, resolution, divergence_ratio)[0])
+    return float(family_averages(family, fn, resolution)[0])
 
 
 @contextlib.contextmanager
@@ -360,8 +360,9 @@ def quadrature_memo():
     """A scope in which `family_averages` computes each result once.
 
     The memo holds 8 bytes per cube and is dropped on exit, when the outer
-    scope's memo (or none) is back in place.  A function that is not
-    hashable, such as a tabulated weight, is computed on every call.
+    scope's memo (or none) is back in place.  Inside a scope the function
+    must be hashable, as every parsed weight and symbol is: it is part of
+    the key.
     """
     global _memo
     outer, _memo = _memo, {}
@@ -371,30 +372,27 @@ def quadrature_memo():
         _memo = outer
 
 
-def family_averages(family: CubeFamily, fn: Callable, resolution: int,
-                    divergence_ratio: float = DIVERGENCE_RATIO) -> np.ndarray:
+def family_averages(family: CubeFamily, fn: Callable,
+                    resolution: int) -> np.ndarray:
     """Per-cube averages over the whole family, +inf where divergent.
 
-    Inside `quadrature_memo()` a family whose (function, resolution, ratio,
-    family without max_level) was computed at least as deep is read off the
-    stored values, as a fresh array.
+    Inside `quadrature_memo()` a family whose (function, resolution, family
+    without max_level) was computed at least as deep is read off the stored
+    values, as a fresh array.
     """
     if _memo is None:
-        return _family_averages(family, fn, resolution, divergence_ratio)
-    key = (fn, resolution, divergence_ratio, family.dim, family.half_width,
-           family.min_level, family.shifts, family.origin)
-    try:
-        held = _memo.get(key)
-    except TypeError:  # fn is not hashable
-        return _family_averages(family, fn, resolution, divergence_ratio)
+        return _family_averages(family, fn, resolution)
+    key = (fn, resolution, family.dim, family.half_width, family.min_level,
+           family.shifts, family.origin)
+    held = _memo.get(key)
     if held is None or held[0] < family.max_level:
-        held = _memo[key] = (family.max_level, _family_averages(
-            family, fn, resolution, divergence_ratio))
+        held = _memo[key] = (family.max_level,
+                             _family_averages(family, fn, resolution))
     return held[1][:len(family)].copy()
 
 
-def _family_averages(family: CubeFamily, fn: Callable, resolution: int,
-                     divergence_ratio: float) -> np.ndarray:
+def _family_averages(family: CubeFamily, fn: Callable,
+                     resolution: int) -> np.ndarray:
     def means(centers, side, transform):
         return _node_values(fn, centers, side, resolution, transform).mean(axis=1)
 
@@ -413,7 +411,7 @@ def _family_averages(family: CubeFamily, fn: Callable, resolution: int,
             return _sliced(means, centers, family.side(level + k), resolution,
                            transform).reshape(sub.shape).mean(axis=1)
 
-        return _divergence_chain(v0, doubled, divergence_ratio)
+        return _divergence_chain(v0, doubled)
 
     return np.concatenate([chain(*layer) for layer in layers])
 

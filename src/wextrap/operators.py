@@ -1,13 +1,13 @@
 """Desk-scale discretizations of the three application operators and their
 commutators with bounded-mean-oscillation symbols.
 
-Kernel operators act on truncated non-periodic grids as quadrature double
-sums.  On a 1-D grid each output point's kernel matrix is a window of one
-translation-invariant offset table, built once per call; 2-D grids build the
-matrix per output point.  The Fourier multiplier acts on the periodic grid
-through discrete transforms.  Every operator exposes `apply` for a single
-pair and `apply_pairs` for stacks of inputs (the column generator used by
-the compactness lab).
+Every operator acts on 1-D grids.  Kernel operators act on truncated
+non-periodic grids as quadrature double sums, each output point's kernel
+matrix a window of one translation-invariant offset table built once per
+call.  The Fourier multiplier acts on the periodic grid through discrete
+transforms.  Every operator exposes `apply` for a single pair and
+`apply_pairs` for stacks of inputs (the column generator used by the
+compactness lab).
 """
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ import numpy as np
 
 from .grids import Grid, GridFunction
 
-
-def _dist(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
-    if dim == 1:
-        return np.abs(a - b)
-    return np.sqrt(np.sum((a - b) ** 2, axis=-1))
+# Sub-nodes per axis of the fractional kernel's singular-cell average.
+_OVERSAMPLE = 8
 
 
 def _offsets(grid: Grid) -> np.ndarray:
@@ -58,10 +55,11 @@ class BilinearOperator:
 class _KernelOperator(BilinearOperator):
     """Shared double-sum machinery.
 
-    Subclasses give the kernel matrix K_x[a, b] = k(x, y_a, y_b) for one
-    output point, and the offset table T[i, j] = k(0, u_i, u_j) on the
-    offsets u = (-(n-1), ..., n-1) * h of a 1-D grid.  There K_x is the
-    window of T starting at offset n - 1 - ix in both axes.
+    Subclasses give the offset table T[i, j] = k(0, u_i, u_j) on the
+    offsets u = (-(n-1), ..., n-1) * h of a 1-D grid; the kernel matrix
+    K_x[a, b] = k(x, y_a, y_b) of output node ix is the window of T starting
+    at offset n - 1 - ix in both axes.  `_kernel_matrix` builds K_x directly,
+    as the reference the offset table is tested against.
     """
 
     def _kernel_matrix(self, x, nodes, grid: Grid, x_index: int) -> np.ndarray:
@@ -71,20 +69,15 @@ class _KernelOperator(BilinearOperator):
         raise NotImplementedError
 
     def apply_pairs(self, F1, F2, grid):
-        if grid.dim != self.dim:
-            raise ValueError(f"a {self.dim}-D kernel on a {grid.dim}-D grid")
-        nodes = grid.flat_nodes()
-        n1, n2 = F1.shape[0], F2.shape[0]
+        if grid.dim != 1:
+            raise ValueError(f"a 1-D kernel on a {grid.dim}-D grid")
+        n = grid.n
         dtype = np.result_type(F1.dtype, F2.dtype, float)
-        out = np.zeros((n1, n2, nodes.shape[0]), dtype=dtype)
+        out = np.zeros((F1.shape[0], F2.shape[0], n), dtype=dtype)
         vol = grid.cell_volume
-        if grid.dim == 1:
-            T, n = self._offset_table(grid), grid.n
-            kernel_at = lambda ix: _window(T, n, ix)
-        else:
-            kernel_at = lambda ix: self._kernel_matrix(nodes[ix], nodes, grid, ix)
-        for ix in range(nodes.shape[0]):
-            out[:, :, ix] = (F1 @ kernel_at(ix) @ F2.T) * vol * vol
+        T = self._offset_table(grid)
+        for ix in range(n):
+            out[:, :, ix] = (F1 @ _window(T, n, ix) @ F2.T) * vol * vol
         return out
 
 
@@ -104,27 +97,25 @@ class FractionalIntegralOperator(_KernelOperator):
     """
 
     beta: float
-    dim: int = 1
     convention: str = "homogeneous"
-    oversample: int = 8
 
     def __post_init__(self):
-        if not (0 < self.beta < 2 * self.dim):
-            raise ValueError("need 0 < beta < 2d")
+        if not (0 < self.beta < 2):
+            raise ValueError("need 0 < beta < 2d = 2")
         if self.convention not in ("homogeneous", "as_printed"):
             raise ValueError("unknown kernel exponent convention")
 
     def _exponent(self) -> float:
-        power = self.beta - 2 * self.dim
+        power = self.beta - 2
         return power / 2.0 if self.convention == "homogeneous" else power
 
     def kernel(self, x, y1, y2) -> np.ndarray:
-        s = _dist(x, y1, self.dim) ** 2 + _dist(x, y2, self.dim) ** 2
+        s = np.abs(x - y1) ** 2 + np.abs(x - y2) ** 2
         with np.errstate(divide="ignore"):
             return s ** self._exponent()
 
     def _kernel_matrix(self, x, nodes, grid, x_index):
-        d1 = _dist(x, nodes, self.dim) ** 2
+        d1 = np.abs(x - nodes) ** 2
         with np.errstate(divide="ignore"):
             K = (d1[:, None] + d1[None, :]) ** self._exponent()
         K[x_index, x_index] = self._singular_cell_average(x, grid)
@@ -138,34 +129,24 @@ class FractionalIntegralOperator(_KernelOperator):
         return T
 
     def _singular_cell_average(self, x, grid) -> float:
-        h = grid.spacing
-        k = self.oversample
-        offs = (np.arange(k) + 0.5) / k - 0.5
-        if self.dim == 1:
-            y1 = x + h * offs
-            y2 = x + h * offs
-            s = (y1[:, None] - x) ** 2 + (y2[None, :] - x) ** 2
-        else:
-            pts = x[None, :] + h * np.stack(
-                np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
-            d = np.sum((pts - x[None, :]) ** 2, axis=-1)
-            s = d[:, None] + d[None, :]
+        k = _OVERSAMPLE
+        y = x + grid.spacing * ((np.arange(k) + 0.5) / k - 0.5)
+        s = (y[:, None] - x) ** 2 + (y[None, :] - x) ** 2
         vals = s ** self._exponent()
         finite = np.isfinite(vals)
         return float(vals[finite].mean())
 
     def descriptor(self):
         return {"type": "fractional_integral", "beta": self.beta,
-                "dim": self.dim, "convention": self.convention}
+                "dim": 1, "convention": self.convention}
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """An explicit kernel with its advertised size/smoothness data."""
+    """An explicit kernel with its advertised smoothness order."""
 
     kernel: Callable
     smoothness_order: float
-    size_constant: float = 1.0
     truncation_radius: float = 0.25
 
     def __post_init__(self):
@@ -187,7 +168,6 @@ class TruncatedKernelOperator(_KernelOperator):
     """
 
     spec: KernelSpec
-    dim: int = 1
 
     def _check_spacing(self, grid):
         if grid.spacing >= self.spec.truncation_radius:
@@ -221,17 +201,12 @@ class TruncatedKernelOperator(_KernelOperator):
 
     def _kernel_matrix(self, x, nodes, grid, x_index):
         self._check_spacing(grid)
-        d1 = _dist(x, nodes, self.dim) ** 2
-        r2 = d1[:, None] + d1[None, :]
-        if self.dim == 1:
-            K = self.spec.kernel(x, nodes[:, None], nodes[None, :])
-        else:
-            K = self.spec.kernel(x[None, None, :], nodes[:, None, :],
-                                 nodes[None, :, :])
-        return self._truncated(K, r2)
+        d1 = np.abs(x - nodes) ** 2
+        K = self.spec.kernel(x, nodes[:, None], nodes[None, :])
+        return self._truncated(K, d1[:, None] + d1[None, :])
 
     def descriptor(self):
-        return {"type": "truncated_kernel", "dim": self.dim,
+        return {"type": "truncated_kernel", "dim": 1,
                 "rho": self.spec.truncation_radius,
                 "smoothness_order": self.spec.smoothness_order}
 
@@ -284,11 +259,6 @@ class FourierMultiplierOperator(BilinearOperator):
     """
 
     symbol: SymbolSpec
-    dim: int = 1
-
-    def __post_init__(self):
-        if self.dim != 1:
-            raise NotImplementedError("multiplier fast path implemented for d = 1")
 
     def _sigma_matrix(self, grid: Grid) -> np.ndarray:
         freqs = np.fft.fftfreq(grid.n, d=grid.spacing)
@@ -311,7 +281,7 @@ class FourierMultiplierOperator(BilinearOperator):
         return out
 
     def descriptor(self):
-        return {"type": "fourier_multiplier", "dim": self.dim,
+        return {"type": "fourier_multiplier", "dim": 1,
                 "symbol": self.symbol.descriptor()}
 
 
@@ -467,94 +437,3 @@ def symbol_sobolev_norm(symbol: SymbolSpec, s: Optional[float] = None,
         norm_sq = float(np.sum(weight * np.abs(ft) ** 2)) * dzeta * dzeta
         best = max(best, math.sqrt(norm_sq))
     return best
-
-
-@dataclass(frozen=True)
-class KernelCheckReport:
-    size_max: float
-    size_median: float
-    smoothness_max: Optional[float]
-    translation_max: Optional[float]
-    size_by_scale: tuple[tuple[float, float], ...]
-    samples: int
-    seed: int
-
-    def descriptor(self):
-        return {"size_max": self.size_max, "size_median": self.size_median,
-                "smoothness_max": self.smoothness_max,
-                "translation_max": self.translation_max,
-                "size_by_scale": [list(p) for p in self.size_by_scale],
-                "samples": self.samples, "seed": self.seed}
-
-
-def kernel_conditions_check(spec: KernelSpec, sample_budget: int = 10000,
-                            seed: int = 0, halfwidth: float = 4.0,
-                            dim: int = 1,
-                            scales: Sequence[float] = (1.0, 0.1, 0.01, 0.001)) -> KernelCheckReport:
-    """Randomized ratio measurements for the kernel size and smoothness
-    conditions, plus the translated-pole variant with its window parameter.
-
-    `scales` directs extra size sampling toward the diagonal; a kernel
-    violating the size condition shows ratios growing as the scale shrinks.
-    """
-    if dim != 1:
-        raise NotImplementedError("kernel condition sampling implemented for d = 1")
-    rng = np.random.default_rng(seed)
-    m, d = 2, dim
-    eps = spec.smoothness_order
-
-    def sample(n, scale=1.0):
-        x = rng.uniform(-halfwidth, halfwidth, n)
-        y1 = x + scale * rng.uniform(-1, 1, n)
-        y2 = x + scale * rng.uniform(-1, 1, n)
-        ok = (np.abs(x - y1) > 1e-12) | (np.abs(x - y2) > 1e-12)
-        return x[ok], y1[ok], y2[ok]
-
-    x, y1, y2 = sample(sample_budget)
-    denom = (np.abs(x - y1) + np.abs(x - y2)) ** (m * d)
-    size_ratio = np.abs(spec.kernel(x, y1, y2)) * denom
-    size_max = float(np.max(size_ratio))
-    size_median = float(np.median(size_ratio))
-
-    by_scale = []
-    for sc in scales:
-        xs, y1s, y2s = sample(max(sample_budget // 4, 100), sc)
-        ds = (np.abs(xs - y1s) + np.abs(xs - y2s)) ** (m * d)
-        by_scale.append((float(sc),
-                         float(np.max(np.abs(spec.kernel(xs, y1s, y2s)) * ds))))
-
-    smooth_max = None
-    if eps > 0:
-        ratios = []
-        for slot in (0, 1):
-            x, y1, y2 = sample(sample_budget // 2)
-            lim = 0.5 * np.maximum(np.abs(x - y1), np.abs(x - y2))
-            moved = (y1 if slot == 0 else y2)
-            z = moved + rng.uniform(-1, 1, x.shape[0]) * lim
-            keep = np.abs(moved - z) > 1e-12
-            x, y1, y2, z = x[keep], y1[keep], y2[keep], z[keep]
-            if slot == 0:
-                num = np.abs(spec.kernel(x, y1, y2) - spec.kernel(x, z, y2))
-                den = np.abs(y1 - z) ** eps
-            else:
-                num = np.abs(spec.kernel(x, y1, y2) - spec.kernel(x, y1, z))
-                den = np.abs(y2 - z) ** eps
-            body = (np.abs(x - y1) + np.abs(x - y2)) ** (m * d + eps)
-            ratios.append(float(np.max(num * body / den)))
-        smooth_max = max(ratios)
-
-    trans_max = None
-    if eps > 0:
-        x, y1, y2 = sample(sample_budget)
-        mind = np.minimum(np.abs(x - y1), np.abs(x - y2))
-        z = x + rng.uniform(-1, 1, x.shape[0]) * (mind / 8.0) * 0.99
-        lo, hi = 2 * np.abs(x - z), mind / 4.0
-        keep = lo < hi
-        x, y1, y2, z, lo, hi = (a[keep] for a in (x, y1, y2, z, lo, hi))
-        tau = lo + rng.uniform(0, 1, x.shape[0]) * (hi - lo)
-        num = np.abs(spec.kernel(x, y1, y2) - spec.kernel(z, y1, y2))
-        body = (np.abs(x - y1) + np.abs(x - y2)) ** (m * d + eps)
-        trans_max = float(np.max(num * body / tau ** eps))
-
-    return KernelCheckReport(size_max, size_median, smooth_max, trans_max,
-                             tuple(by_scale), sample_budget, seed)

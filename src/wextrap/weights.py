@@ -1,7 +1,7 @@
 """Weight descriptors and every Muckenhoupt-type class constant of the lab.
 
 Weights form a small closed algebra (constants, power weights, a logarithmic
-blow-up, tabulated samples, products and powers) so that every transformed
+blow-up, products and powers) so that every transformed
 weight needed by the characterizations and the interpolation solver is again
 a descriptor with exact pointwise evaluation.  Exponents are kept as exact
 rationals wherever the caller provides them.
@@ -21,9 +21,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .grids import (DEFAULT_RESOLUTION, DIVERGENCE_RATIO, CubeFamily,
-                    GridFunction, family_averages, family_extrema,
-                    family_oscillations)
+from .grids import (DEFAULT_RESOLUTION, CubeFamily, family_averages,
+                    family_extrema, family_oscillations)
 
 ExponentLike = Union[Fraction, int, float, str]
 
@@ -166,31 +165,6 @@ class LogBlowupWeight(WeightSpec):
 
 
 @dataclass(frozen=True)
-class TabulatedWeight(WeightSpec):
-    """Nearest-node lookup into positive grid samples."""
-
-    samples: GridFunction
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.samples.values, dtype=float) <= 0):
-            raise ValueError("tabulated weight samples must be positive")
-
-    def __call__(self, x):
-        g = self.samples.grid
-        x = np.asarray(x, dtype=float)
-        pts = x[:, None] if (g.dim == 1 and x.ndim == 1) else x
-        idx = np.clip(((pts + g.half_width) / g.spacing - 0.5).round().astype(int),
-                      0, g.n - 1)
-        if g.dim == 1:
-            return np.asarray(self.samples.values, dtype=float)[idx[:, 0]]
-        return np.asarray(self.samples.values, dtype=float)[idx[:, 0], idx[:, 1]]
-
-    def descriptor(self):
-        return {"type": "tabulated", "n": self.samples.grid.n,
-                "half_width": self.samples.grid.half_width}
-
-
-@dataclass(frozen=True)
 class ProductWeight(WeightSpec):
     factors: tuple[WeightSpec, ...]
 
@@ -231,8 +205,10 @@ class PowerOfWeight(WeightSpec):
 
 
 def parse_weight(d: dict) -> WeightSpec:
-    """The weight a `descriptor()` describes (the inverse of `descriptor`);
-    tabulated samples have no descriptor to rebuild them from."""
+    """The weight a `descriptor()` describes (the inverse of `descriptor`).
+
+    Every weight it builds is hashable, so it can key the quadrature memo of
+    `grids.quadrature_memo()`."""
     t = d["type"]
     if t == "constant":
         return ConstantWeight(float(d.get("value", 1.0)))
@@ -399,26 +375,24 @@ def _constant(quantities: np.ndarray, tag: str, family: CubeFamily,
 
 
 def _coupled_quantities(nu: WeightSpec, a, slots, family: CubeFamily,
-                        resolution: int, divergence_ratio: float) -> np.ndarray:
+                        resolution: int) -> np.ndarray:
     """Per-cube <nu>_Q^a prod_j <w_j^(e_j)>_Q^(g_j) for slots (w_j, e_j, g_j).
 
     A slot with e_j None is degenerate and contributes (inf_Q w_j)^(g_j).
     """
     with np.errstate(divide="ignore", over="ignore"):
-        out = family_averages(family, nu, resolution, divergence_ratio) ** float(a)
+        out = family_averages(family, nu, resolution) ** float(a)
         for w, e, g in slots:
             if e is None:
                 base = family_extrema(family, w, resolution, mode="min")
             else:
-                base = family_averages(family, w.pow(e), resolution,
-                                       divergence_ratio)
+                base = family_averages(family, w.pow(e), resolution)
             out = out * base ** float(g)
     return out
 
 
 def muckenhoupt_quantities(w: WeightSpec, p: ExponentLike, family: CubeFamily,
-                           resolution: int = DEFAULT_RESOLUTION,
-                           divergence_ratio: float = DIVERGENCE_RATIO) -> np.ndarray:
+                           resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
     """Per-cube quantities <w>_Q <w^(-1/(p-1))>_Q^(p-1); p = 1 uses 1/inf_Q w."""
     p = as_fraction(p)
     if p < 1:
@@ -426,61 +400,56 @@ def muckenhoupt_quantities(w: WeightSpec, p: ExponentLike, family: CubeFamily,
     if p == 1:
         # Outside _coupled_quantities: x * y**-1.0 can differ from x / y
         # in the last bit.
-        avg_w = family_averages(family, w, resolution, divergence_ratio)
+        avg_w = family_averages(family, w, resolution)
         inf_w = family_extrema(family, w, resolution, mode="min")
         with np.errstate(divide="ignore"):
             return avg_w / inf_w
     return _coupled_quantities(w, 1, [(w, -1 / (p - 1), p - 1)], family,
-                               resolution, divergence_ratio)
+                               resolution)
 
 
 def muckenhoupt_constant(w: WeightSpec, p: ExponentLike, family: CubeFamily,
-                         resolution: int = DEFAULT_RESOLUTION,
-                         divergence_ratio: float = DIVERGENCE_RATIO) -> ClassConstant:
-    q = muckenhoupt_quantities(w, p, family, resolution, divergence_ratio)
+                         resolution: int = DEFAULT_RESOLUTION) -> ClassConstant:
+    q = muckenhoupt_quantities(w, p, family, resolution)
     return _constant(q, f"Ap({as_fraction(p)})", family, resolution)
 
 
 def muckenhoupt_pq_constant(w: WeightSpec, p: ExponentLike, q: ExponentLike,
                             family: CubeFamily,
-                            resolution: int = DEFAULT_RESOLUTION,
-                            divergence_ratio: float = DIVERGENCE_RATIO) -> ClassConstant:
+                            resolution: int = DEFAULT_RESOLUTION) -> ClassConstant:
     """sup_Q <w^q>^(1/q) <w^(-p')>^(1/p') over the family, for 1 < p <= q."""
     p, q = as_fraction(p), as_fraction(q)
     if not (1 < p <= q):
         raise ValueError("need 1 < p <= q < inf")
     pc = conjugate(p)
     vals = _coupled_quantities(w.pow(q), 1 / q, [(w, -pc, 1 / pc)], family,
-                               resolution, divergence_ratio)
+                               resolution)
     return _constant(vals, f"Apq({p},{q})", family, resolution)
 
 
 def multilinear_quantities(wvec: Sequence[WeightSpec], pvec: Exponents,
                            family: CubeFamily,
-                           resolution: int = DEFAULT_RESOLUTION,
-                           divergence_ratio: float = DIVERGENCE_RATIO) -> np.ndarray:
+                           resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
     """Per-cube <nu>^(1/p) prod <w_j^(1-p_j')>^(1/p_j'); p_j = 1 uses 1/inf w_j.
 
     This is the limited-range quantity with s = (1, ..., 1).
     """
     ones = Exponents((Fraction(1),) * len(pvec))
     return multilinear_limited_range_quantities(wvec, pvec, ones, family,
-                                                resolution, divergence_ratio)
+                                                resolution)
 
 
 def multilinear_constant(wvec: Sequence[WeightSpec], pvec: Exponents,
                          family: CubeFamily,
-                         resolution: int = DEFAULT_RESOLUTION,
-                         divergence_ratio: float = DIVERGENCE_RATIO) -> ClassConstant:
-    q = multilinear_quantities(wvec, pvec, family, resolution, divergence_ratio)
+                         resolution: int = DEFAULT_RESOLUTION) -> ClassConstant:
+    q = multilinear_quantities(wvec, pvec, family, resolution)
     return _constant(q, f"MultAp({pvec.descriptor()})", family, resolution)
 
 
 def multilinear_limited_range_quantities(wvec: Sequence[WeightSpec],
                                          pvec: Exponents, svec: Exponents,
                                          family: CubeFamily,
-                                         resolution: int = DEFAULT_RESOLUTION,
-                                         divergence_ratio: float = DIVERGENCE_RATIO) -> np.ndarray:
+                                         resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
     """Per-cube <nu>^(1/p) prod <w_j^(1-(p_j/s_j)')>^(1/s_j - 1/p_j).
 
     The degenerate branch p_j = s_j contributes (inf_Q w_j)^(-1/p_j).
@@ -494,24 +463,22 @@ def multilinear_limited_range_quantities(wvec: Sequence[WeightSpec],
              else (w, 1 - conjugate(pj / sj), 1 / sj - 1 / pj)
              for w, pj, sj in zip(wvec, pvec.values, svec.values)]
     return _coupled_quantities(composite_weight(wvec, pvec), 1 / pvec.harmonic,
-                               slots, family, resolution, divergence_ratio)
+                               slots, family, resolution)
 
 
 def multilinear_limited_range_constant(wvec: Sequence[WeightSpec],
                                        pvec: Exponents, svec: Exponents,
                                        family: CubeFamily,
-                                       resolution: int = DEFAULT_RESOLUTION,
-                                       divergence_ratio: float = DIVERGENCE_RATIO) -> ClassConstant:
+                                       resolution: int = DEFAULT_RESOLUTION) -> ClassConstant:
     q = multilinear_limited_range_quantities(wvec, pvec, svec, family,
-                                             resolution, divergence_ratio)
+                                             resolution)
     tag = f"MultApS({pvec.descriptor()},{svec.descriptor()})"
     return _constant(q, tag, family, resolution)
 
 
 def multilinear_offdiag_quantities(wvec: Sequence[WeightSpec], pvec: Exponents,
                                    p_star: ExponentLike, family: CubeFamily,
-                                   resolution: int = DEFAULT_RESOLUTION,
-                                   divergence_ratio: float = DIVERGENCE_RATIO) -> np.ndarray:
+                                   resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
     """Per-cube <nu^(p*)>^(1/p*) prod <w_j^(-p_j')>^(1/p_j'); p_j = 1 uses 1/inf w_j."""
     wvec = tuple(wvec)
     p_star = as_fraction(p_star)
@@ -523,15 +490,13 @@ def multilinear_offdiag_quantities(wvec: Sequence[WeightSpec], pvec: Exponents,
              else (w, -conjugate(pj), 1 / conjugate(pj))
              for w, pj in zip(wvec, pvec.values)]
     return _coupled_quantities(composite_weight(wvec).pow(p_star), 1 / p_star,
-                               slots, family, resolution, divergence_ratio)
+                               slots, family, resolution)
 
 
 def multilinear_offdiag_constant(wvec: Sequence[WeightSpec], pvec: Exponents,
                                  p_star: ExponentLike, family: CubeFamily,
-                                 resolution: int = DEFAULT_RESOLUTION,
-                                 divergence_ratio: float = DIVERGENCE_RATIO) -> ClassConstant:
-    q = multilinear_offdiag_quantities(wvec, pvec, p_star, family, resolution,
-                                       divergence_ratio)
+                                 resolution: int = DEFAULT_RESOLUTION) -> ClassConstant:
+    q = multilinear_offdiag_quantities(wvec, pvec, p_star, family, resolution)
     tag = f"MultApQ({pvec.descriptor()},{as_fraction(p_star)})"
     return _constant(q, tag, family, resolution)
 

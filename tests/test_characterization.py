@@ -1,4 +1,4 @@
-"""Duality, componentwise criteria, equivalence checks, reverse-Holder scans."""
+"""Duality, componentwise criteria and equivalence checks."""
 
 import math
 from fractions import Fraction
@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import wextrap as wx
+from wextrap import cli
 from wextrap.characterization import (dual_weight, limited_range_criterion,
-                                      offdiag_criterion,
-                                      reverse_holder_exponent,
-                                      verify_equivalence)
+                                      offdiag_criterion, verify_equivalence)
+from wextrap.weights import multilinear_offdiag_quantities
 
 F = Fraction
 
@@ -115,6 +115,18 @@ class TestOffdiagCriterion:
         assert first.class_exponent == 1
         assert first.exponent == F(1, 2)
 
+    def test_harmonic_p_of_one_over_m_refused_on_every_route(self):
+        # every p_j = 1 gives p = 1/m; the criterion, the direct quantity and
+        # the parse all need 1/m < p
+        pvec = wx.exponents(1, 1)
+        with pytest.raises(ValueError, match="1/m < p"):
+            offdiag_criterion(pvec, 2)
+        with pytest.raises(ValueError, match="1/m < p"):
+            multilinear_offdiag_quantities((power(0), power(0)), pvec, 2,
+                                           family(2), 8)
+        with pytest.raises(cli.ConfigError, match="1/m < p"):
+            cli._offdiag_p_star(2, pvec)
+
     def test_scalar_reduction_matches_two_index_constant(self):
         # m = 1 degenerates to the classical two-index condition
         w = power(F(1, 8))
@@ -172,37 +184,3 @@ class TestVerifyEquivalence:
         assert rep.agree is True
         assert rep.direct.verdict is wx.Verdict.NON_MEMBER
         assert rep.componentwise_verdict is wx.Verdict.NON_MEMBER
-
-
-class TestReverseHolder:
-    def test_unit_weight_passes_whole_grid(self):
-        cert = reverse_holder_exponent(wx.ConstantWeight(1), family(3), 2.0)
-        assert cert.eta == pytest.approx(1.0, abs=1e-9)
-
-    def test_power_weight_gains_positive_eta(self):
-        cert = reverse_holder_exponent(power(F(1, 2)), family(5), 2.0,
-                                       resolution=64)
-        assert cert.eta > 0
-
-    def test_monotone_in_constant(self):
-        fam = family(5)
-        w = power(F(4, 5))
-        etas = [reverse_holder_exponent(w, fam, c, resolution=32).eta
-                for c in (1.2, 2.0, 4.0)]
-        assert etas == sorted(etas)
-
-    def test_antitone_under_family_growth(self):
-        w = power(F(4, 5))
-        big = reverse_holder_exponent(w, family(6), 1.5, resolution=32).eta
-        small = reverse_holder_exponent(w, family(4), 1.5, resolution=32).eta
-        assert big <= small
-
-    def test_eta_nonincreasing_toward_class_boundary(self):
-        fam = family(5)
-        etas = [reverse_holder_exponent(power(a), fam, 2.0, resolution=64).eta
-                for a in (F(1, 2), F(4, 5), F(19, 20))]
-        assert etas[0] >= etas[1] >= etas[2]
-
-    def test_rejects_bad_constant(self):
-        with pytest.raises(ValueError):
-            reverse_holder_exponent(power(0), family(2), 0.5)

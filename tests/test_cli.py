@@ -218,9 +218,32 @@ class TestMainEntry:
     def test_config_file_run(self, tmp_path):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(preset_config("unit-weight-ap")))
-        code = main(["run", str(cfg_path), "--output-dir", str(tmp_path)])
+        code = main(["run", str(cfg_path), "--output-dir",
+                     str(tmp_path / "out")])
         assert code == 0
-        assert (tmp_path / "exp.json").exists()
+        assert (tmp_path / "out" / "exp.json").exists()
+
+    def test_run_next_to_the_config_keeps_the_config(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # README's `wextrap run myconfig.json`, in the config's directory
+        monkeypatch.chdir(tmp_path)
+        text = json.dumps(preset_config("unit-weight-ap"))
+        (tmp_path / "myconfig.json").write_text(text)
+        for _ in range(2):
+            assert main(["run", "myconfig.json"]) == EXIT_CONFIG
+            assert "would overwrite the config" in capsys.readouterr().err
+            assert (tmp_path / "myconfig.json").read_text() == text
+        assert [p.name for p in tmp_path.iterdir()] == ["myconfig.json"]
+
+    def test_csv_artifact_may_not_overwrite_the_config(self, tmp_path):
+        cfg = preset_config("cz-contrast")
+        cfg.update(refinements=[64], n_basis=[8, 8], k_probe=4)
+        cfg_path = tmp_path / "contrast.csv"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["run", str(cfg_path), "--output-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert json.loads(cfg_path.read_text()) == cfg
+        assert [p.name for p in tmp_path.iterdir()] == ["contrast.csv"]
 
     def test_malformed_config_writes_nothing(self, tmp_path):
         cfg_path = tmp_path / "bad.json"

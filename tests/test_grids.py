@@ -12,7 +12,7 @@ from wextrap.grids import (Cube, CubeFamily, EvaluationError, Grid,
                            family_averages, family_extrema, weighted_lp_norm)
 from wextrap.presets import preset_config
 from wextrap.weights import (Exponents, LogBlowupWeight, PowerWeight,
-                             ProductWeight, TabulatedWeight, bmo_norm,
+                             bmo_norm,
                              bmo_quantities, muckenhoupt_constant,
                              muckenhoupt_pq_constant, multilinear_constant,
                              multilinear_limited_range_constant,
@@ -270,10 +270,10 @@ class TestDoublingReuse:
         seen = []
         chain = grids._divergence_chain
 
-        def spy(v0, doubled, ratio):
+        def spy(v0, doubled):
             index = np.arange(len(v0))
             seen.append([v0] + [doubled(index, k) for k in (1, 2, 3)])
-            return chain(v0, doubled, ratio)
+            return chain(v0, doubled)
 
         monkeypatch.setattr(grids, "_divergence_chain", spy)
         family_averages(fam, w, 8)
@@ -290,9 +290,9 @@ class TestDoublingReuse:
         seen = []
         chain = grids._divergence_chain
 
-        def spy(v0, doubled, ratio):
+        def spy(v0, doubled):
             seen.append([doubled(np.arange(len(v0)), k) for k in (1, 2, 3)])
-            return chain(v0, doubled, ratio)
+            return chain(v0, doubled)
 
         monkeypatch.setattr(grids, "_divergence_chain", spy)
         family_averages(fam, w, 4)
@@ -408,14 +408,13 @@ class TestQuadratureMemo:
             assert w.points == 0
 
     @pytest.mark.parametrize("other", [
-        {"divergence_ratio": 1.5}, {"resolution": 16},
+        {"resolution": 16},
         {"family": CubeFamily(1, 4.0, 0, 4, origin=(0.3,))},
         {"family": CubeFamily(1, 4.0, 0, 4, shifts=(0.0, 0.5))}],
-        ids=["divergence_ratio", "resolution", "shifts", "origin"])
+        ids=["resolution", "shifts", "origin"])
     def test_keys_differing_in_one_part_share_nothing(self, other):
         w = self.counting()
-        args = {"family": self.FAM, "fn": w, "resolution": 8,
-                "divergence_ratio": grids.DIVERGENCE_RATIO}
+        args = {"family": self.FAM, "fn": w, "resolution": 8}
         expected = family_averages(**{**args, **other})
         with grids.quadrature_memo():
             family_averages(**args)
@@ -423,17 +422,6 @@ class TestQuadratureMemo:
             assert np.array_equal(family_averages(**{**args, **other}), expected)
             assert w.points > 0
             assert len(grids._memo) == 2
-
-    def test_tabulated_weights_are_never_stored(self):
-        grid = Grid(1, 64, 4.0)
-        table = TabulatedWeight(GridFunction.from_callable(
-            grid, lambda x: 1.0 + np.abs(x)))
-        for w in (table, ProductWeight((PowerWeight((0.0,), 0.5), table))):
-            plain = family_averages(self.FAM, w, 8)
-            with grids.quadrature_memo():
-                for _ in range(2):
-                    assert np.array_equal(family_averages(self.FAM, w, 8), plain)
-                assert grids._memo == {}
 
     def test_writing_into_a_result_leaves_the_memo(self):
         w = self.counting()

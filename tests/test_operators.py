@@ -12,8 +12,8 @@ from wextrap.operators import (CommutatorOperator, CommutatorSpec,
                                FractionalIntegralOperator, KernelSpec,
                                RankOneOperator, SymbolSpec,
                                TruncatedKernelOperator, ZeroOperator,
-                               kernel_conditions_check, littlewood_paley_bump,
-                               log_symbol, smooth_bump, symbol_sobolev_norm)
+                               littlewood_paley_bump, log_symbol, smooth_bump,
+                               symbol_sobolev_norm)
 
 
 def grid(n=64, L=4.0):
@@ -88,8 +88,8 @@ class TestFractionalIntegral:
         with pytest.raises(ValueError):
             FractionalIntegralOperator(0.0)
         with pytest.raises(ValueError):
-            FractionalIntegralOperator(2.0, dim=1)
-        FractionalIntegralOperator(3.9, dim=2)
+            FractionalIntegralOperator(2.0)
+        FractionalIntegralOperator(1.9)
 
     def test_conventions_differ(self):
         g = grid(32)
@@ -202,14 +202,6 @@ class TestOffsetTable:
         F1, F2 = table_inputs(g)
         with pytest.raises(ValueError, match="translation invariant"):
             TruncatedKernelOperator(spec).apply_pairs(F1, F2, g)
-
-    def test_two_dimensional_grid_builds_per_point(self):
-        g = Grid(2, 4, 1.0)
-        op = FractionalIntegralOperator(2.0, dim=2)
-        F = np.eye(g.size())[:3]
-        out = op.apply_pairs(F, F, g)
-        np.testing.assert_array_equal(out, per_point_apply_pairs(op, F, F, g))
-        assert np.all(out > 0)
 
     def test_operator_and_grid_dimension_must_agree(self):
         F = np.ones((1, 64))
@@ -381,49 +373,6 @@ class TestSymbolMachinery:
         val = symbol_sobolev_norm(sym, s_vec=(0.8, 0.8), j_range=range(-4, 5),
                                   freq_resolution=64)
         assert math.isfinite(val) and val > 0
-
-
-class TestKernelConditions:
-    def test_saturating_model_kernel(self):
-        c = 1.7
-        spec = KernelSpec(
-            lambda x, y1, y2: c / (np.abs(x - y1) + np.abs(x - y2)) ** 2,
-            smoothness_order=0.0, truncation_radius=0.25)
-        rep = kernel_conditions_check(spec, sample_budget=4000, seed=0)
-        assert rep.size_max == pytest.approx(c, rel=1e-9)
-        assert rep.size_median == pytest.approx(c, rel=1e-9)
-
-    def test_smooth_kernel_has_bounded_ratios(self):
-        # the even kernel 1/((x-y1)^2 + (x-y2)^2) has a full Lipschitz factor
-        def kernel(x, y1, y2):
-            with np.errstate(divide="ignore"):
-                return 1.0 / ((x - y1) ** 2 + (x - y2) ** 2)
-
-        spec = KernelSpec(kernel, smoothness_order=1.0, truncation_radius=0.25)
-        rep = kernel_conditions_check(spec, sample_budget=10000, seed=1)
-        assert rep.smoothness_max is not None
-        assert rep.smoothness_max < 50.0
-        assert rep.translation_max is not None
-        assert rep.translation_max < 50.0
-
-    def test_sign_kernel_smooth_away_from_pole_crossing(self):
-        # the odd model kernel satisfies the size bound everywhere
-        rep = kernel_conditions_check(model_kernel_spec(), sample_budget=4000,
-                                      seed=5)
-        assert rep.size_max <= 1.0 + 1e-9
-
-    def test_size_violation_grows_toward_diagonal(self):
-        def bad_kernel(x, y1, y2):
-            s = np.abs(x - y1) + np.abs(x - y2)
-            with np.errstate(divide="ignore"):
-                return np.abs(np.log(s)) / s ** 2
-
-        spec = KernelSpec(bad_kernel, smoothness_order=0.0,
-                          truncation_radius=0.25)
-        rep = kernel_conditions_check(spec, sample_budget=4000, seed=2,
-                                      scales=(1.0, 0.01, 1e-4))
-        maxima = [m for _, m in rep.size_by_scale]
-        assert maxima[-1] > 2.0 * maxima[0]
 
 
 class TestAuxiliaryOperators:

@@ -45,14 +45,6 @@ class TestWeightAlgebra:
         combo = (w * v).pow(F(2))
         np.testing.assert_allclose(combo(x), (w(x) * v(x)) ** 2, rtol=1e-13)
 
-    def test_tabulated_positive_lookup(self):
-        g = wx.Grid(1, 32, 1.0)
-        tab = wx.TabulatedWeight(wx.GridFunction(g, np.linspace(1, 2, 32)))
-        vals = tab(np.array([-0.99, 0.0, 0.99]))
-        assert np.all(vals >= 1.0) and np.all(vals <= 2.0)
-        with pytest.raises(ValueError):
-            wx.TabulatedWeight(wx.GridFunction(g, np.linspace(-1, 2, 32)))
-
     def test_constant_weight_must_be_positive(self):
         with pytest.raises(ValueError):
             wx.ConstantWeight(0.0)
@@ -69,9 +61,8 @@ class TestParseWeight:
         assert parse_weight(w.descriptor()) == w
 
     def test_unknown_types_rejected(self):
-        table = wx.TabulatedWeight(wx.GridFunction.from_callable(
-            wx.Grid(1, 8, 1.0), lambda x: np.ones(len(x))))
-        for desc in ({"type": "mystery"}, table.descriptor()):
+        tabulated = {"type": "tabulated", "n": 8, "half_width": 1.0}
+        for desc in ({"type": "mystery"}, tabulated):
             with pytest.raises(ValueError, match="unknown weight type"):
                 parse_weight(desc)
 
